@@ -68,7 +68,12 @@ def biword_to_json(w: Biword) -> list[list[int]]:
 
 
 def biword_from_json(data) -> Biword:
-    return Biword(tuple((int(i), int(j)) for i, j in data))
+    if not isinstance(data, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 and all(type(e) is int for e in pair)
+        for pair in data
+    ):
+        raise ValueError("a JSON biword must be a list of [i, j] integer pairs")
+    return Biword(tuple(tuple(pair) for pair in data))
 
 
 def swap_rows(w: Biword) -> Biword:

@@ -7,6 +7,7 @@ unmatched i while e_i lowers the leftmost unmatched i+1.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .permutations import min_coset_rep, orbit_bruhat_leq, reduced_word
@@ -166,11 +167,9 @@ def bounded_entry_restriction(crystal: DemazureCrystal, m: int) -> frozenset[SSY
     return frozenset(t for t in crystal.vertices if t.max_entry() <= m)
 
 
-def weight_sum(tableaux, n: int) -> SparsePoly:
-    total = SparsePoly.zero(n)
-    for tab in tableaux:
-        total = total + SparsePoly.monomial(1, tab.content())
-    return total
+def weight_sum(objects, n: int) -> SparsePoly:
+    """Sum of x^content over tableaux or fillings with alphabet size n."""
+    return SparsePoly(n, Counter(obj.content() for obj in objects))
 
 
 def unique_key_tableau(tableaux) -> SSYT:

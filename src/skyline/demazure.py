@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .crystal import weight_sum
 from .fillings import enumerate_ssaf
 from .permutations import orbit_bruhat_leq
 from .polynomials import SparsePoly
@@ -89,32 +90,26 @@ def atom(alpha: tuple[int, ...]) -> SparsePoly:
     return pihat_op(i + 1, atom(swapped))
 
 
-def _weights(fillings, n: int) -> SparsePoly:
-    total = SparsePoly.zero(n)
-    for f in fillings:
-        total = total + SparsePoly.monomial(1, f.content())
-    return total
-
-
 def atom_via_ssaf(alpha) -> SparsePoly:
     """Weight sum of the skyline fillings of shape exactly ``alpha``."""
     alpha = tuple(alpha)
-    return _weights(enumerate_ssaf(alpha), len(alpha))
+    return weight_sum(enumerate_ssaf(alpha), len(alpha))
 
 
 def key_via_ssaf(alpha) -> SparsePoly:
     """Weight sum of the skyline fillings whose shape is <= ``alpha``."""
     alpha = tuple(alpha)
-    total = SparsePoly.zero(len(alpha))
-    for beta in orbit(alpha):
-        if orbit_bruhat_leq(beta, alpha):
-            total = total + atom_via_ssaf(beta)
-    return total
+    return weight_sum(
+        (
+            f
+            for beta in orbit(alpha)
+            if orbit_bruhat_leq(beta, alpha)
+            for f in enumerate_ssaf(beta)
+        ),
+        len(alpha),
+    )
 
 
 def schur_polynomial(lam, n: int) -> SparsePoly:
     """Schur polynomial as the weight sum over all tableaux of the shape."""
-    total = SparsePoly.zero(n)
-    for tab in enumerate_ssyt(tuple(lam), n):
-        total = total + SparsePoly.monomial(1, tab.content())
-    return total
+    return weight_sum(enumerate_ssyt(tuple(lam), n), n)

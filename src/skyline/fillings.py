@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .shapes import Composition, decreasing_rearrangement, num_parts
-from .tableaux import SSYT, enumerate_ssyt, key_tableau
+from .tableaux import SSYT, enumerate_ssyt, json_int_lists, key_tableau
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,7 @@ def ssaf_to_json(filling: SSAF) -> dict:
 
 
 def ssaf_from_json(data) -> SSAF:
-    filling = SSAF(tuple(tuple(c) for c in data["columns"]))
+    filling = SSAF(json_int_lists(data, "columns"))
     if data.get("n") is not None and data["n"] != filling.n:
         raise ValueError("declared basement size does not match columns")
     if not validate(filling):

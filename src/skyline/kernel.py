@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .demazure import atom, key_polynomial
 from .permutations import ReducedWord, apply_word
-from .polynomials import SparsePoly, pair_product
+from .polynomials import SparsePoly, pair_product, poly_sum
 from .shapes import (
     Composition,
     cells,
@@ -188,13 +188,14 @@ def kernel_rhs(inst: KernelInstance, d: int) -> SparsePoly:
         raise ValueError("degree must be non-negative")
     if inst.k > inst.m:
         return kernel_rhs(inst.conjugate(), d).swap_alphabets()
-    total = SparsePoly.zero(inst.k, inst.m)
-    pad = (0,) * (inst.m - inst.k)
-    for size in range(d + 1):
-        for mu in compositions_with_sum(size, inst.k):
-            alpha = alpha_vector(mu, inst.n, inst.m, inst.k)
-            total = total + pair_product(atom(mu), key_polynomial(pad + alpha))
-    return total
+    n, m, k = inst.n, inst.m, inst.k
+    pad = (0,) * (m - k)
+    terms = (
+        pair_product(atom(mu), key_polynomial(pad + alpha_vector(mu, n, m, k)))
+        for size in range(d + 1)
+        for mu in compositions_with_sum(size, k)
+    )
+    return poly_sum(terms, k, m)
 
 
 def verify_expansion(inst: KernelInstance, d: int) -> ExpansionReport:

@@ -64,11 +64,7 @@ class SparsePoly:
         return (self.nx, self.ny, self.terms) == (other.nx, other.ny, other.terms)
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            terms[key] = terms.get(key, 0) + coeff
-        return SparsePoly(self.nx, terms, self.ny)
+        return poly_sum((self, other), self.nx, self.ny)
 
     def __neg__(self) -> "SparsePoly":
         return SparsePoly(self.nx, {k: -c for k, c in self.terms.items()}, self.ny)
@@ -179,6 +175,19 @@ class SparsePoly:
             else:
                 out.append({"coeff": coeff, "x_exp": list(key[0]), "y_exp": list(key[1])})
         return out
+
+
+def poly_sum(parts, nx: int, ny: int | None = None) -> SparsePoly:
+    """Sum any number of polynomials of arity (nx, ny) in one pass."""
+    terms: dict = {}
+    for part in parts:
+        if part.nx != nx or part.ny != ny:
+            raise ValueError(
+                f"arity mismatch: ({nx}, {ny}) vs ({part.nx}, {part.ny})"
+            )
+        for key, coeff in part.terms.items():
+            terms[key] = terms.get(key, 0) + coeff
+    return SparsePoly(nx, terms, ny)
 
 
 def poly_from_json(data, nx: int | None = None, ny: int | None = None) -> SparsePoly:

@@ -210,12 +210,26 @@ def ssyt_to_json(tab: SSYT) -> dict:
     return {"shape": list(tab.shape), "rows": [list(r) for r in tab.rows], "n": tab.n}
 
 
+def json_int_lists(data, field: str) -> tuple[tuple[int, ...], ...]:
+    """``data[field]`` of a JSON object, checked to be a list of integer lists."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    value = data.get(field)
+    if not isinstance(value, list) or not all(
+        isinstance(item, list) and all(type(e) is int for e in item) for item in value
+    ):
+        raise ValueError(f"{field!r} must be a list of lists of integers")
+    return tuple(tuple(item) for item in value)
+
+
 def ssyt_from_json(data, n=None) -> SSYT:
-    rows = tuple(tuple(r) for r in data["rows"])
+    rows = json_int_lists(data, "rows")
     bound = n if n is not None else data.get("n")
     if bound is None:
         bound = max((e for row in rows for e in row), default=0)
+    if type(bound) is not int:
+        raise ValueError(f"alphabet bound must be an integer, got {bound!r}")
     tab = SSYT(rows, bound)
-    if "shape" in data and tuple(data["shape"]) != tab.shape:
+    if "shape" in data and data["shape"] != list(tab.shape):
         raise ValueError("declared shape does not match rows")
     return tab

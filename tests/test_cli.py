@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skyline
 from skyline import cli
 from skyline.kernel import ExpansionReport
 from skyline.polynomials import SparsePoly
@@ -149,6 +154,21 @@ def test_verify_kernel_jobs_byte_identical():
     assert text1 == text2
 
 
+def test_verify_kernel_computes_each_side_once(monkeypatch):
+    calls = []
+    original = cli.kernel.kernel_lhs
+
+    def counting(inst, d):
+        calls.append((inst, d))
+        return original(inst, d)
+
+    monkeypatch.setattr(cli.kernel, "kernel_lhs", counting)
+    args = ["verify-kernel", "--n", "5", "--m", "4", "--k", "3", "--deg", "2"]
+    code, _ = run_cli(args + ["--jobs", "2"])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_verify_kernel_failure_exit(monkeypatch):
     bad = ExpansionReport(
         3, 3, 3, 1,
@@ -174,6 +194,72 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, _ = run_cli(["crystal", "--format", "dot"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-main", "--n", "3", "--max-len", "3", "--jobs", "0"],
+        ["verify-main", "--n", "3", "--max-len", "3", "--jobs", "-2"],
+        ["verify-main", "--n", "0", "--max-len", "3"],
+        ["verify-main", "--n", "3", "--max-len", "-1"],
+        ["verify-kernel", "--n", "3", "--m", "3", "--k", "3", "--deg", "1", "--jobs", "0"],
+    ],
+)
+def test_degenerate_verify_arguments_exit_2(argv):
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psi-inv", "--ssaf", '{"n": 3, "columns": 5}'],
+        ["psi-inv", "--ssaf", "[[1], [2], []]"],
+        ["psi-inv", "--ssaf", '{"columns": [["1"], [], []]}'],
+        ["insert", "--k", "1", "--ssaf", '{"n": 2, "columns": [[true], []]}'],
+        ["phi-inv", "--f", '{"columns": [[1], []]}', "--g", "[]"],
+        ["psi", "--tableau", '{"rows": "xx"}'],
+        ["psi", "--tableau", "[[1, 1], [2]]"],
+        ["psi", "--tableau", '{"rows": [["1", "1"], ["2"]]}'],
+        ["psi", "--tableau", '{"rows": [[1, 1], [2]], "n": "3"}'],
+        ["psi", "--tableau", '{"rows": [[1, 1], [2]], "shape": 5}'],
+        ["phi", "--biword", "[1]", "--n", "2"],
+        ["phi", "--biword", "[null]", "--n", "2"],
+        ["phi", "--biword", "[[1.5, 2]]", "--n", "2"],
+        ["rsk", "--biword", "[[true, 1]]"],
+    ],
+)
+def test_malformed_json_payload_is_a_usage_error(argv, capsys):
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_crystal_alpha_rejects_a_mismatched_n_or_a_shape():
+    code, text = run_cli(["crystal", "--alpha", "1,0,3", "--n", "5"])
+    assert code == 2 and text == ""
+    code, text = run_cli(["crystal", "--alpha", "1,0,3", "--shape", "3,1"])
+    assert code == 2 and text == ""
+    assert run_cli(["crystal", "--alpha", "1,0,3", "--n", "3"]) == run_cli(
+        ["crystal", "--alpha", "1,0,3"]
+    )
+
+
+@pytest.mark.parametrize("module", ["skyline", "skyline.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(Path(skyline.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "key", "--gamma", "1,0"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1\n"
 
 
 def test_reproducible_bytes():

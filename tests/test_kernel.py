@@ -170,6 +170,11 @@ def test_rectangle_matches_classical_cauchy():
     assert lhs == total
 
 
+def test_expansion_k_greater_than_m_at_degree_4():
+    inst = KernelInstance(6, 3, 5)
+    assert kernel_rhs(inst, 4) == kernel_lhs(inst, 4)
+
+
 def test_conjugation_symmetry():
     for (n, m, k), d in [((5, 4, 3), 2), ((4, 3, 2), 3), ((4, 4, 3), 2)]:
         direct = kernel_rhs(KernelInstance(n, k, m), d)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skyline.polynomials import SparsePoly, pair_product, poly_from_json
+from skyline.polynomials import SparsePoly, pair_product, poly_from_json, poly_sum
 
 
 def poly_strategy(nx=3, max_terms=5, max_exp=4):
@@ -50,6 +50,23 @@ def test_ring_axioms(p, q, r):
     assert p * q == q * p
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+@given(st.lists(poly_strategy(), max_size=6))
+def test_poly_sum_matches_pairwise_sum(parts):
+    expected = SparsePoly.zero(3)
+    for part in parts:
+        expected = expected + part
+    assert poly_sum(parts, 3) == expected
+    assert poly_sum(iter(parts), 3) == expected
+
+
+def test_poly_sum_checks_every_arity():
+    x = SparsePoly.monomial(1, (1, 0))
+    with pytest.raises(ValueError):
+        poly_sum([x, x, SparsePoly.monomial(1, (1, 0, 0))], 2)
+    with pytest.raises(ValueError):
+        poly_sum([x], 2, 1)
 
 
 def test_truncate_examples():
