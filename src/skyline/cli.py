@@ -220,8 +220,13 @@ def _cmd_verify_kernel(args, out) -> int:
         if args.json == "-":
             _print(out, text)
         else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(args.json, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                # A mismatch found before the write still exits 1.
+                print(f"error: {exc}", file=sys.stderr)
+                return 1 if not report.equal else 2
     return 0 if report.equal else 1
 
 
@@ -316,7 +321,7 @@ def run(argv, out=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args, out)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -91,7 +91,8 @@ def rsk(w: Biword, n: int | None = None) -> tuple[SSYT, SSYT]:
         r, c = _row_insert(p_rows, j)
         if r == len(q_rows):
             q_rows.append([])
-        assert c == len(q_rows[r])
+        if c != len(q_rows[r]):
+            raise AssertionError("row insertion must end at the end of its row")
         q_rows[r].append(i)
     make = lambda rows: SSYT(tuple(tuple(row) for row in rows), n)
     return make(p_rows), make(q_rows)
@@ -126,7 +127,8 @@ def inverse_rsk(p: SSYT, q: SSYT) -> Biword:
 def _place_in_recording(cols: list[list[int]], letter: int, h: int):
     """Step 3 of the correspondence: top up the leftmost column of height h-1."""
     if h == 1:
-        assert not cols[letter - 1], "height-1 placement must start a fresh column"
+        if cols[letter - 1]:
+            raise AssertionError("height-1 placement must start a fresh column")
         cols[letter - 1].append(letter)
         return
     for col in cols:
@@ -149,7 +151,8 @@ def phi_steps(w: Biword, n: int) -> list[tuple[SSAF, SSAF]]:
         _place_in_recording(g_cols, i, h)
         g = SSAF(tuple(tuple(c) for c in g_cols))
         # the two shapes stay rearrangements of each other at every stage
-        assert decreasing_rearrangement(f.shape) == decreasing_rearrangement(g.shape)
+        if decreasing_rearrangement(f.shape) != decreasing_rearrangement(g.shape):
+            raise AssertionError("insertion and recording shapes diverged")
         stages.append((f, g))
     return stages
 

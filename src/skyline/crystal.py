@@ -98,7 +98,8 @@ def crystal_graph(lam, n: int) -> CrystalGraph:
         for i in range(1, n):
             out = f_op(i, tab)
             if out is not None:
-                assert out in index
+                if out not in index:
+                    raise AssertionError(f"f_{i} leaves the vertices of B({lam})")
                 edges.append((tab, i, out))
     edges.sort(key=lambda e: (index[e[0]], e[1]))
     return CrystalGraph(lam[: num_parts(lam)], n, vertices, tuple(edges))

@@ -216,7 +216,10 @@ def insert_with_chain(k: int, filling: SSAF):
             chain.append(x)
         else:
             # the terminal column is the rightmost one reaching this height
-            assert all(len(cols[j2]) != r + 1 for j2 in range(j + 1, n))
+            if any(len(cols[j2]) == r + 1 for j2 in range(j + 1, n)):
+                raise AssertionError(
+                    "the terminal column must be the rightmost one of its height"
+                )
             cols[j].append(x)
             return SSAF(tuple(tuple(c) for c in cols)), r + 1, j + 1, tuple(chain)
     raise AssertionError("insertion scan exhausted; filling was not a valid SSAF")

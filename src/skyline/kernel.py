@@ -14,7 +14,6 @@ from .permutations import ReducedWord, apply_word
 from .polynomials import SparsePoly, pair_product, poly_sum
 from .shapes import (
     Composition,
-    cells,
     compositions_with_sum,
     reverse,
     truncated_staircase,
@@ -159,20 +158,21 @@ def kernel_lhs(inst: KernelInstance, d: int) -> SparsePoly:
     """Truncated product of the geometric series, one per shape cell.
 
     Variables: x indexed by rows (k of them), y by columns (m of them).
+    The cells of row i share x_i, so their series multiply to the row
+    factor sum_t x_i^t h_t(y_1..y_{lambda_i}); the k row factors are folded
+    with a product that builds no term above degree d.
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
-    total = SparsePoly.one(inst.k, inst.m)
-    for i, j in sorted(cells(inst.shape)):
-        series_terms = {}
+    k, m = inst.k, inst.m
+    total = SparsePoly.one(k, m)
+    for i, length in enumerate(inst.shape):
+        row_terms = {}
         for t in range(d + 1):
-            xexp = [0] * inst.k
-            yexp = [0] * inst.m
-            xexp[i - 1] = t
-            yexp[j - 1] = t
-            series_terms[(tuple(xexp), tuple(yexp))] = 1
-        series = SparsePoly(inst.k, series_terms, inst.m)
-        total = (total * series).truncate(d)
+            xexp = (0,) * i + (t,) + (0,) * (k - i - 1)
+            for yexp in compositions_with_sum(t, length):
+                row_terms[(xexp, yexp + (0,) * (m - length))] = 1
+        total = total.truncated_mul(SparsePoly(k, row_terms, m), d)
     return total
 
 

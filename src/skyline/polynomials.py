@@ -6,6 +6,9 @@ Values are immutable by convention: every operation builds a new one.
 """
 from __future__ import annotations
 
+from math import inf
+from operator import add
+
 
 class SparsePoly:
     """Sparse polynomial over Z in x_1..x_nx and optionally y_1..y_ny.
@@ -77,19 +80,7 @@ class SparsePoly:
             return SparsePoly(
                 self.nx, {k: c * other for k, c in self.terms.items()}, self.ny
             )
-        self._check_compatible(other)
-        terms: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                if self.ny is None:
-                    key = tuple(a + b for a, b in zip(k1, k2))
-                else:
-                    key = (
-                        tuple(a + b for a, b in zip(k1[0], k2[0])),
-                        tuple(a + b for a, b in zip(k1[1], k2[1])),
-                    )
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return SparsePoly(self.nx, terms, self.ny)
+        return self.truncated_mul(other, inf)
 
     __rmul__ = __mul__
 
@@ -105,6 +96,36 @@ class SparsePoly:
             {k: c for k, c in self.terms.items() if sum(self._xexp(k)) <= d},
             self.ny,
         )
+
+    def truncated_mul(self, other: "SparsePoly", d) -> "SparsePoly":
+        """``(self * other).truncate(d)`` without building the dropped terms.
+
+        ``other``'s terms are grouped by x-degree, so a term of ``self`` of
+        degree s visits only the groups of degree <= d - s. ``__mul__``
+        calls this with ``d = inf``: it is the one product loop.
+        """
+        if d < 0:
+            raise ValueError("truncation degree must be non-negative")
+        self._check_compatible(other)
+        groups: dict[int, list] = {}
+        for key, coeff in other.terms.items():
+            groups.setdefault(sum(self._xexp(key)), []).append((key, coeff))
+        terms: dict = {}
+        for k1, c1 in self.terms.items():
+            room = d - sum(self._xexp(k1))
+            for degree, group in groups.items():
+                if degree > room:
+                    continue
+                for k2, c2 in group:
+                    if self.ny is None:
+                        key = tuple(map(add, k1, k2))
+                    else:
+                        key = (
+                            tuple(map(add, k1[0], k2[0])),
+                            tuple(map(add, k1[1], k2[1])),
+                        )
+                    terms[key] = terms.get(key, 0) + c1 * c2
+        return SparsePoly(self.nx, terms, self.ny)
 
     def s_action(self, i: int) -> "SparsePoly":
         """Swap the x-exponents at positions i and i+1 in every term."""

@@ -239,6 +239,34 @@ def test_malformed_json_payload_is_a_usage_error(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def test_verify_kernel_unwritable_json_path_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    argv = ["verify-kernel", "--n", "3", "--m", "3", "--k", "3", "--deg", "2"]
+    code, _ = run_cli(argv + ["--json", str(path)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not path.exists()
+
+
+def test_verify_kernel_mismatch_with_unwritable_json_path_exits_1(
+    tmp_path, monkeypatch, capsys
+):
+    bad = ExpansionReport(
+        3, 3, 3, 1,
+        SparsePoly.zero(3, 3), SparsePoly.zero(3, 3),
+        False, ((1, 0, 0), (0, 0, 1), 1, 0),
+    )
+    monkeypatch.setattr(cli.kernel, "verify_expansion", lambda inst, d: bad)
+    path = tmp_path / "missing" / "report.json"
+    argv = ["verify-kernel", "--n", "3", "--m", "3", "--k", "3", "--deg", "1"]
+    code, text = run_cli(argv + ["--json", str(path)])
+    assert code == 1
+    assert "MISMATCH" in text
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_crystal_alpha_rejects_a_mismatched_n_or_a_shape():
     code, text = run_cli(["crystal", "--alpha", "1,0,3", "--n", "5"])
     assert code == 2 and text == ""

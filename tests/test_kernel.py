@@ -25,6 +25,22 @@ from skyline.shapes import (
 )
 
 
+def _lhs_by_cells(inst: KernelInstance, d: int) -> SparsePoly:
+    """Oracle: one geometric series per shape cell, truncated after each product."""
+    total = SparsePoly.one(inst.k, inst.m)
+    for i, j in sorted(cells(inst.shape)):
+        series_terms = {}
+        for t in range(d + 1):
+            xexp = [0] * inst.k
+            yexp = [0] * inst.m
+            xexp[i - 1] = t
+            yexp[j - 1] = t
+            series_terms[(tuple(xexp), tuple(yexp))] = 1
+        series = SparsePoly(inst.k, series_terms, inst.m)
+        total = (total * series).truncate(d)
+    return total
+
+
 def test_instance_validation():
     KernelInstance(5, 4, 3)
     with pytest.raises(ValueError):
@@ -110,6 +126,20 @@ def test_kernel_lhs_single_cell_geometric():
     }
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_kernel_lhs_matches_cell_by_cell_product(n):
+    for m in range(1, n + 1):
+        for k in range(n + 1 - m, n + 1):
+            inst = KernelInstance(n, m, k)
+            for d in range(5):
+                assert kernel_lhs(inst, d) == _lhs_by_cells(inst, d), (n, m, k, d)
+
+
+def test_kernel_lhs_rejects_a_negative_degree():
+    with pytest.raises(ValueError):
+        kernel_lhs(KernelInstance(3, 3, 3), -1)
+
+
 def test_kernel_rhs_degree_zero():
     assert kernel_rhs(KernelInstance(4, 3, 2), 0) == SparsePoly.one(2, 3)
 
@@ -173,6 +203,12 @@ def test_rectangle_matches_classical_cauchy():
 def test_expansion_k_greater_than_m_at_degree_4():
     inst = KernelInstance(6, 3, 5)
     assert kernel_rhs(inst, 4) == kernel_lhs(inst, 4)
+
+
+@pytest.mark.parametrize("n,m,k,d", [(7, 7, 7, 5), (7, 6, 5, 6)])
+def test_expansion_at_large_sizes(n, m, k, d):
+    inst = KernelInstance(n, m, k)
+    assert kernel_rhs(inst, d) == kernel_lhs(inst, d)
 
 
 def test_conjugation_symmetry():

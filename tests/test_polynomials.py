@@ -12,6 +12,16 @@ def poly_strategy(nx=3, max_terms=5, max_exp=4):
     )
 
 
+def pair_strategy(nx=2, ny=3, max_terms=5, max_exp=3):
+    exps = st.tuples(
+        st.tuples(*([st.integers(0, max_exp)] * nx)),
+        st.tuples(*([st.integers(0, max_exp)] * ny)),
+    )
+    return st.dictionaries(exps, st.integers(-9, 9), max_size=max_terms).map(
+        lambda terms: SparsePoly(nx, terms, ny)
+    )
+
+
 def test_monomial_and_zero():
     p = SparsePoly.monomial(3, (1, 0, 2))
     assert p.terms == {(1, 0, 2): 3}
@@ -79,6 +89,28 @@ def test_truncate_examples():
 @given(poly_strategy(max_exp=3), poly_strategy(max_exp=3), st.integers(0, 4))
 def test_truncate_product_identity(p, q, d):
     assert (p * q).truncate(d) == (p.truncate(d) * q.truncate(d)).truncate(d)
+
+
+@given(poly_strategy(max_exp=3), poly_strategy(max_exp=3), st.integers(0, 6))
+def test_truncated_mul_matches_truncated_product(p, q, d):
+    assert p.truncated_mul(q, d) == (p * q).truncate(d)
+
+
+@given(pair_strategy(), pair_strategy(), st.integers(0, 6))
+def test_truncated_mul_matches_truncated_product_two_alphabets(p, q, d):
+    assert p.truncated_mul(q, d) == (p * q).truncate(d)
+
+
+def test_truncated_mul_rejects_an_arity_mismatch():
+    with pytest.raises(ValueError):
+        SparsePoly.one(2).truncated_mul(SparsePoly.one(3), 2)
+    with pytest.raises(ValueError):
+        SparsePoly.one(2, 2).truncated_mul(SparsePoly.one(2, 3), 2)
+
+
+def test_truncated_mul_rejects_a_negative_degree():
+    with pytest.raises(ValueError):
+        SparsePoly.one(2).truncated_mul(SparsePoly.one(2), -1)
 
 
 def test_s_action_examples():
