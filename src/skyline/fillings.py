@@ -11,8 +11,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .shapes import Composition, decreasing_rearrangement, num_parts
-from .tableaux import SSYT, enumerate_ssyt, json_int_lists, key_tableau
+from .shapes import Composition
+from .tableaux import SSYT, insert_word, json_int_lists, key_tableau
 
 
 @dataclass(frozen=True)
@@ -242,16 +242,21 @@ def psi(tab: SSYT) -> SSAF:
 def psi_inverse(filling: SSAF) -> SSYT:
     """The unique tableau mapping to ``filling`` under :func:`psi`.
 
-    The shape and content of the preimage are forced (sorted shape, same
-    content), so candidates are enumerated under those constraints and each
-    is checked by replaying the insertion.
+    Mason's map reads row r of the filling as column r of a reverse
+    tableau, so Schensted insertion of the rows, top row first and each
+    row in decreasing order, gives the preimage.  One replay of
+    :func:`psi` rejects a filling outside the image.
     """
-    lam = decreasing_rearrangement(filling.shape)
-    lam = lam[: num_parts(lam)]
-    for tab in enumerate_ssyt(lam, filling.n, content=filling.content()):
-        if psi(tab) == filling:
-            return tab
-    raise ValueError("filling is not in the image of psi (not a valid SSAF?)")
+    columns = filling.columns
+    word = [
+        e
+        for r in range(max(filling.shape, default=0) - 1, -1, -1)
+        for e in sorted((c[r] for c in columns if len(c) > r), reverse=True)
+    ]
+    tab = insert_word(word, filling.n)
+    if psi(tab) != filling:
+        raise ValueError("filling is not in the image of psi (not a valid SSAF?)")
+    return tab
 
 
 def right_key(tab: SSYT) -> SSYT:
@@ -294,7 +299,10 @@ def ssaf_to_json(filling: SSAF) -> dict:
 
 def ssaf_from_json(data) -> SSAF:
     filling = SSAF(json_int_lists(data, "columns"))
-    if data.get("n") is not None and data["n"] != filling.n:
+    n = data.get("n")
+    if n is not None and type(n) is not int:
+        raise ValueError(f"basement size must be an integer, got {n!r}")
+    if n is not None and n != filling.n:
         raise ValueError("declared basement size does not match columns")
     if not validate(filling):
         raise ValueError("not a valid SSAF")

@@ -148,11 +148,10 @@ def evacuation(tab: SSYT) -> SSYT:
     return insert_word(word, n)
 
 
-def enumerate_ssyt(lam, n: int, content=None):
+def enumerate_ssyt(lam, n: int):
     """All SSYT of shape ``lam`` with entries <= n, sorted by column word.
 
-    With ``content`` given, restricts to tableaux of that content.  Each call
-    returns a fresh iterator over the same deterministic sequence.
+    Each call returns a fresh iterator over the same deterministic sequence.
     """
     lam = tuple(lam)
     if not is_partition(lam):
@@ -161,9 +160,6 @@ def enumerate_ssyt(lam, n: int, content=None):
     if len(lam) > n:
         raise ValueError(f"shape {lam} has more than n={n} rows")
     found: list[SSYT] = []
-    budget = list(content) if content is not None else None
-    if budget is not None and (len(budget) != n or sum(budget) != sum(lam)):
-        raise ValueError("content does not match alphabet or shape size")
 
     rows: list[list[int]] = [[] for _ in lam]
 
@@ -180,15 +176,9 @@ def enumerate_ssyt(lam, n: int, content=None):
         if r > 0:
             lo = max(lo, rows[r - 1][c] + 1)
         for v in range(lo, n + 1):
-            if budget is not None:
-                if budget[v - 1] == 0:
-                    continue
-                budget[v - 1] -= 1
             rows[r].append(v)
             fill(r, c + 1)
             rows[r].pop()
-            if budget is not None:
-                budget[v - 1] += 1
 
     fill(0, 0)
     found.sort(key=lambda t: t.column_word())

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -6,11 +7,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skyline
-from skyline import cli
+from skyline import cli, correspondences
+from skyline.fillings import ssaf_to_json
 from skyline.kernel import ExpansionReport
 from skyline.polynomials import SparsePoly
+from skyline.tableaux import insert_word, ssyt_to_json
 
 
 def run_cli(argv):
@@ -229,9 +234,32 @@ def test_degenerate_verify_arguments_exit_2(argv):
         ["phi", "--biword", "[null]", "--n", "2"],
         ["phi", "--biword", "[[1.5, 2]]", "--n", "2"],
         ["rsk", "--biword", "[[true, 1]]"],
+        ["psi-inv", "--ssaf", '{"n": true, "columns": [[1]]}'],
+        ["psi-inv", "--ssaf", '{"n": 1.0, "columns": [[1]]}'],
     ],
 )
 def test_malformed_json_payload_is_a_usage_error(argv, capsys):
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+DEEP_JSON = "[" * 100000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psi-inv", "--ssaf", DEEP_JSON],
+        ["phi-inv", "--f", DEEP_JSON, "--g", "{}"],
+        ["phi", "--biword", DEEP_JSON, "--n", "2"],
+        # the key_polynomial recursion is as deep as the sorting chain
+        ["keypoly", "--alpha", "0," * 1001 + "1"],
+    ],
+)
+def test_input_beyond_the_recursion_limit_is_a_usage_error(argv, capsys):
     code, text = run_cli(argv)
     assert code == 2
     assert text == ""
@@ -299,3 +327,54 @@ def test_reproducible_bytes():
         _, a = run_cli(list(argv))
         _, b = run_cli(list(argv))
         assert a == b
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-1, 7) | st.text(max_size=2),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "columns", "rows", "shape"]), children),
+    max_leaves=12,
+)
+payloads = json_values.map(json.dumps) | st.text(max_size=6)
+small_ints = st.integers(-1, 7).map(str)
+# valid payloads too, so that some argv get past the decoders into the maths
+letters = st.integers(1, 4)
+biwords = st.lists(st.lists(letters, min_size=2, max_size=2), max_size=6)
+tableau_payloads = st.lists(letters, max_size=8).map(
+    lambda word: json.dumps(ssyt_to_json(insert_word(word, 4)))
+)
+skyline_pairs = biwords.map(
+    lambda pairs: [
+        json.dumps(ssaf_to_json(f))
+        for f in correspondences.phi(correspondences.from_multiset(pairs, 4), 4)
+    ]
+)
+
+
+@st.composite
+def json_verb_argv(draw):
+    verb = draw(st.sampled_from(["psi-inv", "phi-inv", "insert", "psi", "phi"]))
+    f, g = draw(skyline_pairs | st.lists(payloads, min_size=2, max_size=2))
+    argv = {
+        "psi-inv": ["--ssaf", f],
+        "phi-inv": ["--f", f, "--g", g],
+        "insert": ["--k", draw(small_ints), "--ssaf", f],
+        "psi": ["--tableau", draw(tableau_payloads | payloads)]
+        + draw(st.sampled_from([[], ["--n", draw(small_ints)]])),
+        "phi": ["--biword", draw(biwords.map(json.dumps) | payloads), "--n", draw(small_ints)],
+    }[verb]
+    return [verb] + argv + draw(st.sampled_from([[], ["--json"]]))
+
+
+@settings(max_examples=200)
+@given(json_verb_argv())
+def test_cli_contract_holds_for_any_json_payload(argv):
+    runs = []
+    for _ in range(2):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, text = run_cli(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        runs.append((code, text))
+    assert runs[0] == runs[1]

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skyline.correspondences import (
     Biword,
@@ -132,6 +134,32 @@ def test_phi_inverse_exhaustive():
         w = Biword(pairs)
         f, g = phi(w, 3)
         assert phi_inverse(f, g) == w
+
+
+def test_phi_inverse_roundtrip_n10_28_biletters():
+    rng = random.Random(28)
+    n = 10
+    w = from_multiset(
+        [(rng.randint(1, n), rng.randint(1, n)) for _ in range(28)], n
+    )
+    f, g = phi(w, n)
+    assert phi_inverse(f, g) == w
+
+
+@st.composite
+def biwords_with_alphabet(draw):
+    n = draw(st.integers(1, 12))
+    letter = st.integers(1, n)
+    cells = draw(st.lists(st.tuples(letter, letter), max_size=60))
+    return from_multiset(cells, n), n
+
+
+@settings(max_examples=200)
+@given(biwords_with_alphabet())
+def test_phi_inverse_roundtrip_random(case):
+    w, n = case
+    f, g = phi(w, n)
+    assert phi_inverse(f, g) == w
 
 
 def test_inverse_rsk_roundtrip():

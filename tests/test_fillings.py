@@ -147,9 +147,33 @@ def test_psi_inverse_on_keys():
         assert psi_inverse(key_ssaf(gamma)) == key_tableau(gamma)
 
 
-def test_psi_roundtrip_broad():
-    for n in (2, 3, 4):
+def _psi_inverse_by_search(filling):
+    """Slow oracle for psi_inverse: replay psi on every tableau of the content."""
+    lam = decreasing_rearrangement(filling.shape)
+    lam = lam[: num_parts(lam)]
+    for tab in enumerate_ssyt(lam, filling.n):
+        if tab.content() == filling.content() and psi(tab) == filling:
+            return tab
+    raise ValueError("filling is not in the image of psi")
+
+
+def test_psi_inverse_matches_search_oracle():
+    for n in (1, 2, 3, 4):
         for lam in partitions_up_to(6, n, include_empty=False):
+            for tab in enumerate_ssyt(lam, n):
+                filling = psi(tab)
+                assert psi_inverse(filling) == _psi_inverse_by_search(filling)
+
+
+def test_psi_inverse_rejects_a_filling_outside_the_image():
+    for inverse in (psi_inverse, _psi_inverse_by_search):
+        with pytest.raises(ValueError):
+            inverse(SSAF(((1,), (1,))))
+
+
+def test_psi_roundtrip_broad():
+    for n, max_size in ((2, 6), (3, 6), (4, 6), (5, 7)):
+        for lam in partitions_up_to(max_size, n, include_empty=False):
             for tab in enumerate_ssyt(lam, n):
                 filling = psi(tab)
                 assert filling.content() == tab.content()
