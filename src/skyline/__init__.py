@@ -45,7 +45,6 @@ from .kernel import (
 from .permutations import (
     ReducedWord,
     apply_word,
-    bruhat_leq,
     bubble_sort_op,
     min_coset_rep,
     orbit_bruhat_leq,

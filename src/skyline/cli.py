@@ -6,10 +6,9 @@ Usage errors exit 2, verification failures exit 1, success exits 0.
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import correspondences, crystal, demazure, fillings, kernel, tableaux
 from .shapes import composition
@@ -171,41 +170,18 @@ def _cmd_crystal(args, out) -> int:
     return 0
 
 
-def _theorem_chunk(payload) -> list:
-    n, pairs_list = payload
-    bad = []
-    for pairs in pairs_list:
-        w = correspondences.Biword(pairs)
-        lhs, rhs = correspondences.main_theorem_predicate(w, n)
-        if lhs != rhs:
-            bad.append((pairs, lhs, rhs))
-    return bad
-
-
 def _cmd_verify_main(args, out) -> int:
     n, max_len = args.n, args.max_len
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    words = [
-        pairs
-        for r in range(max_len + 1)
-        for pairs in itertools.combinations_with_replacement(cells, r)
-    ]
-    chunks = [words[i :: args.jobs] for i in range(args.jobs)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_theorem_chunk, [(n, c) for c in chunks]))
-    else:
-        results = [_theorem_chunk((n, c)) for c in chunks]
-    bad = sorted(item for chunk in results for item in chunk)
-    _print(out, f"checked {len(words)} biwords over [{n}]x[{n}], length <= {max_len}")
+    checked, bad = 0, []
+    for pairs, lhs, rhs in correspondences.criterion_sweep(n, max_len):
+        checked += 1
+        if lhs != rhs:
+            bad.append((pairs, lhs, rhs))
+    _print(out, f"checked {checked} biwords over [{n}]x[{n}], length <= {max_len}")
+    for pairs, lhs, rhs in sorted(bad):
+        w = correspondences.format_biword(correspondences.Biword(pairs))
+        _print(out, f"MISMATCH {w}: staircase={lhs} bruhat={rhs}")
     if bad:
-        for pairs, lhs, rhs in bad:
-            w = correspondences.Biword(pairs)
-            _print(
-                out,
-                f"MISMATCH {correspondences.format_biword(w)}: "
-                f"staircase={lhs} bruhat={rhs}",
-            )
         return 1
     _print(out, "all biwords satisfy the equivalence")
     return 0
@@ -230,6 +206,7 @@ def _cmd_verify_kernel(args, out) -> int:
     return 0 if report.equal else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skyline",
@@ -262,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("psi", _cmd_psi, help="tableau to skyline filling")
     p.add_argument("--tableau", required=True, help="SSYT as JSON")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_non_negative, default=None)
     p.add_argument("--json", action="store_true")
 
     p = add("psi-inv", _cmd_psi_inv, help="skyline filling to tableau")
@@ -271,12 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("rsk", _cmd_rsk, help="classical RSK on a biword")
     p.add_argument("--biword", required=True, help='"i1 i2 ... / j1 j2 ..."')
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_non_negative, default=None)
     p.add_argument("--json", action="store_true")
 
     p = add("phi", _cmd_phi, help="skyline analogue of RSK")
     p.add_argument("--biword", required=True, help='"i1 i2 ... / j1 j2 ..."')
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_non_negative, required=True)
     p.add_argument("--json", action="store_true")
 
     p = add("phi-inv", _cmd_phi_inv, help="invert the skyline correspondence")
@@ -287,14 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("crystal", _cmd_crystal, help="crystal graph or Demazure crystal")
     which = p.add_mutually_exclusive_group()
     which.add_argument("--shape", type=_parse_composition)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_non_negative)
     which.add_argument("--alpha", type=_parse_composition)
     p.add_argument("--format", choices=("dot", "json"), default="dot")
 
+    unused_jobs = "accepted but unused: the check always runs in one process"
     p = add("verify-main", _cmd_verify_main, help="exhaustive staircase criterion")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--max-len", type=_non_negative, required=True)
-    p.add_argument("--jobs", type=_positive, default=1, help="worker processes")
+    p.add_argument("--jobs", type=_positive, default=1, help=unused_jobs)
 
     p = add("verify-kernel", _cmd_verify_kernel, help="truncated kernel expansion")
     p.add_argument("--n", type=int, required=True)
@@ -302,12 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--deg", type=int, required=True)
     p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
-    p.add_argument(
-        "--jobs",
-        type=_positive,
-        default=1,
-        help="accepted but unused: the kernel check always runs in one process",
-    )
+    p.add_argument("--jobs", type=_positive, default=1, help=unused_jobs)
 
     return parser
 

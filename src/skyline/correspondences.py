@@ -124,18 +124,29 @@ def inverse_rsk(p: SSYT, q: SSYT) -> Biword:
     return Biword(tuple(reversed(pairs)))
 
 
-def _place_in_recording(cols: list[list[int]], letter: int, h: int):
-    """Step 3 of the correspondence: top up the leftmost column of height h-1."""
-    if h == 1:
-        if cols[letter - 1]:
-            raise AssertionError("height-1 placement must start a fresh column")
-        cols[letter - 1].append(letter)
-        return
-    for col in cols:
-        if len(col) == h - 1 and col[-1] >= letter:
-            col.append(letter)
-            return
-    raise AssertionError("no admissible column for the recording placement")
+def _place_in_recording(g: SSAF, letter: int, h: int) -> SSAF:
+    """Step 3 of the correspondence: record ``letter`` at height ``h``.
+
+    Height 1 starts column ``letter``; otherwise the leftmost column of
+    height h-1 whose top is >= ``letter`` grows by one cell.
+    """
+    cols = g.columns
+    c = letter - 1 if h == 1 else next(
+        (c for c, col in enumerate(cols) if len(col) == h - 1 and col[-1] >= letter), None
+    )
+    if c is None or len(cols[c]) != h - 1:
+        raise AssertionError("no admissible column for the recording placement")
+    return SSAF(cols[:c] + (cols[c] + (letter,),) + cols[c + 1 :])
+
+
+def phi_step(f: SSAF, g: SSAF, i: int, j: int) -> tuple[SSAF, SSAF]:
+    """Extend (insertion, recording) by the biletter (i, j), which phi reads next."""
+    f, h, _ = insert(j, f)
+    g = _place_in_recording(g, i, h)
+    # the two shapes stay rearrangements of each other at every stage
+    if decreasing_rearrangement(f.shape) != decreasing_rearrangement(g.shape):
+        raise AssertionError("insertion and recording shapes diverged")
+    return f, g
 
 
 def phi_steps(w: Biword, n: int) -> list[tuple[SSAF, SSAF]]:
@@ -143,16 +154,10 @@ def phi_steps(w: Biword, n: int) -> list[tuple[SSAF, SSAF]]:
     for i, j in w.pairs:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"biletter ({i}, {j}) exceeds the alphabet [1, {n}]")
-    f = empty_ssaf(n)
-    g_cols: list[list[int]] = [[] for _ in range(n)]
+    f = g = empty_ssaf(n)
     stages = []
     for i, j in reversed(w.pairs):
-        f, h, _ = insert(j, f)
-        _place_in_recording(g_cols, i, h)
-        g = SSAF(tuple(tuple(c) for c in g_cols))
-        # the two shapes stay rearrangements of each other at every stage
-        if decreasing_rearrangement(f.shape) != decreasing_rearrangement(g.shape):
-            raise AssertionError("insertion and recording shapes diverged")
+        f, g = phi_step(f, g, i, j)
         stages.append((f, g))
     return stages
 
@@ -190,6 +195,30 @@ def main_theorem_predicate(w: Biword, n: int) -> tuple[bool, bool]:
     f, g = phi(w, n)
     rhs = orbit_bruhat_leq(g.shape, reverse(f.shape))
     return lhs, rhs
+
+
+def criterion_sweep(n: int, max_len: int):
+    """Both sides of the staircase criterion for every biword over [n] x [n].
+
+    Yields ``(pairs, lhs, rhs)`` as :func:`main_theorem_predicate` gives
+    them for ``Biword(pairs)``, once per biword of length <= ``max_len``, in
+    no fixed order.  phi reads the last biletter first, so a depth-first
+    search that prepends biletters in non-increasing lexicographic order
+    gets each child's (F, G) from its parent's by one :func:`phi_step`.
+    """
+    if n < 0 or max_len < 0:
+        raise ValueError(f"need n >= 0 and max_len >= 0, got {n} and {max_len}")
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    empty = empty_ssaf(n)
+    # (pairs, lhs, F, G, number of cells that may still be prepended)
+    stack = [((), True, empty, empty, len(cells))]
+    while stack:
+        pairs, lhs, f, g, allowed = stack.pop()
+        yield pairs, lhs, orbit_bruhat_leq(g.shape, reverse(f.shape))
+        if len(pairs) < max_len:
+            for c, (i, j) in enumerate(cells[:allowed]):
+                f2, g2 = phi_step(f, g, i, j)
+                stack.append((((i, j),) + pairs, lhs and i + j <= n + 1, f2, g2, c + 1))
 
 
 def alphabet_support_check(w: Biword, n: int, k: int, m: int) -> bool:

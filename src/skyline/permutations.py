@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .shapes import Composition, decreasing_rearrangement
-from .tableaux import entrywise_leq, key_tableau
+from .tableaux import key_columns
 
 Permutation = tuple[int, ...]
 
@@ -126,19 +126,10 @@ def reduced_word(w) -> tuple[int, ...]:
 
 
 def tableau_criterion_leq(sigma, beta) -> bool:
-    """Bruhat comparison by entrywise comparison of staircase keys."""
+    """Strong Bruhat order: compare the two permutations' staircase keys."""
     sigma, beta = check_permutation(sigma), check_permutation(beta)
-    if len(sigma) != len(beta):
-        raise ValueError("size mismatch")
     staircase = longest(len(sigma))
-    return entrywise_leq(
-        key_tableau(act(sigma, staircase)), key_tableau(act(beta, staircase))
-    )
-
-
-def bruhat_leq(theta, sigma) -> bool:
-    """Strong Bruhat order on the symmetric group."""
-    return tableau_criterion_leq(theta, sigma)
+    return orbit_bruhat_leq(act(sigma, staircase), act(beta, staircase))
 
 
 def bruhat_leq_subword(theta, sigma) -> bool:
@@ -169,11 +160,15 @@ def bruhat_leq_subword(theta, sigma) -> bool:
 
 
 def orbit_bruhat_leq(alpha1, alpha2) -> bool:
-    """Bruhat order on an orbit of compositions, via key comparison."""
+    """Bruhat order on an orbit of compositions: key columns compared entrywise."""
     alpha1, alpha2 = tuple(alpha1), tuple(alpha2)
     if decreasing_rearrangement(alpha1) != decreasing_rearrangement(alpha2):
         raise ValueError(f"{alpha1} and {alpha2} are not rearrangements of each other")
-    return entrywise_leq(key_tableau(alpha1), key_tableau(alpha2))
+    return all(
+        a <= b
+        for c1, c2 in zip(key_columns(alpha1), key_columns(alpha2))
+        for a, b in zip(c1, c2)
+    )
 
 
 def min_coset_rep(gamma) -> Permutation:
@@ -187,13 +182,9 @@ def min_coset_rep(gamma) -> Permutation:
     (2, 1, 5, 3, 4)
     """
     gamma = tuple(gamma)
-    n = len(gamma)
-    cols = [
-        [i + 1 for i in range(n) if gamma[i] >= j]
-        for j in range(1, max(gamma, default=0) + 1)
-    ]
+    cols = key_columns(gamma)
     if 0 in gamma or not cols:
-        cols.insert(0, list(range(1, n + 1)))
+        cols.insert(0, tuple(range(1, len(gamma) + 1)))
     seen: set[int] = set()
     word: list[int] = []
     for col in reversed(cols):

@@ -103,10 +103,6 @@ def compositions_with_sum(total: int, length: int):
             yield (first,) + rest
 
 
-def composition_to_json(gamma) -> list[int]:
-    return list(gamma)
-
-
 def composition_from_json(data) -> Composition:
     if not isinstance(data, list):
         raise ValueError("composition JSON must be a list of integers")

@@ -75,14 +75,22 @@ def content(tab: SSYT) -> Composition:
     return tab.content()
 
 
-def key_tableau(gamma) -> SSYT:
-    """The unique key tableau with content ``gamma`` (shape is its sort).
+def key_columns(gamma) -> list[tuple[int, ...]]:
+    """The columns of the key tableau of ``gamma``: column j is {i : gamma_i >= j}.
 
-    Column j holds exactly the letters i with gamma_i >= j.
+    >>> key_columns((1, 3, 0, 0, 1))
+    [(1, 2, 5), (2,), (2,)]
     """
+    return [
+        tuple(i + 1 for i, g in enumerate(gamma) if g >= j)
+        for j in range(1, max(gamma, default=0) + 1)
+    ]
+
+
+def key_tableau(gamma) -> SSYT:
+    """The unique key tableau with content ``gamma`` (shape is its sort)."""
     gamma = tuple(gamma)
-    width = max(gamma, default=0)
-    cols = [sorted(i + 1 for i, g in enumerate(gamma) if g >= j + 1) for j in range(width)]
+    cols = key_columns(gamma)
     height = len(cols[0]) if cols else 0
     rows = tuple(
         tuple(col[r] for col in cols if len(col) > r) for r in range(height)

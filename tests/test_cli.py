@@ -16,6 +16,7 @@ from skyline.fillings import ssaf_to_json
 from skyline.kernel import ExpansionReport
 from skyline.polynomials import SparsePoly
 from skyline.tableaux import insert_word, ssyt_to_json
+from util import biword_multisets
 
 
 def run_cli(argv):
@@ -127,6 +128,23 @@ def test_verify_main_jobs_byte_identical():
     assert text1 == text2
 
 
+def test_verify_main_mismatches_exit_1_sorted(monkeypatch):
+    monkeypatch.setattr(correspondences, "orbit_bruhat_leq", lambda a1, a2: False)
+    argv = ["verify-main", "--n", "2", "--max-len", "2"]
+    code, text = run_cli(argv + ["--jobs", "1"])
+    assert code == 1
+    assert run_cli(argv + ["--jobs", "2"]) == (code, text)
+    # every biword inside the staircase now fails its Bruhat side
+    inside = sorted(
+        pairs for pairs in biword_multisets(2, 2) if all(i + j <= 3 for i, j in pairs)
+    )
+    assert text.splitlines() == ["checked 15 biwords over [2]x[2], length <= 2"] + [
+        f"MISMATCH {correspondences.format_biword(correspondences.Biword(pairs))}: "
+        "staircase=True bruhat=False"
+        for pairs in inside
+    ]
+
+
 def test_verify_kernel_small():
     code, text = run_cli(
         ["verify-kernel", "--n", "3", "--m", "3", "--k", "3", "--deg", "0"]
@@ -215,6 +233,42 @@ def test_degenerate_verify_arguments_exit_2(argv):
     code, text = run_cli(argv)
     assert code == 2
     assert text == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phi", "--biword", "/", "--n", "-2", "--json"],
+        ["crystal", "--shape", "0", "--n", "-1"],
+        ["crystal", "--alpha", "1,0", "--n", "-1"],
+        ["rsk", "--biword", "1 / 1", "--n", "-1"],
+        ["psi", "--tableau", '{"rows": []}', "--n", "-1"],
+    ],
+)
+def test_negative_n_is_a_usage_error(argv, capsys):
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text == ""
+    assert "must be at least 0" in capsys.readouterr().err
+
+
+def test_usage_error_after_a_successful_call_exits_2():
+    assert run_cli(["key", "--gamma", "1,0"]) == (0, "1\n")
+    assert run_cli(["key", "--gamma", "x"]) == (2, "")
+    assert run_cli(["key"]) == (2, "")
+    assert run_cli(["key", "--gamma", "1,0"]) == (0, "1\n")
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_leaks_no_state_between_crystal_calls():
+    by_alpha = ["crystal", "--alpha", "1,0,2", "--format", "json"]
+    by_shape = ["crystal", "--shape", "2,1", "--n", "3"]
+    fresh = {}
+    for argv in (by_alpha, by_shape):
+        cli.build_parser.cache_clear()
+        fresh[tuple(argv)] = run_cli(argv)
+    for argv in (by_alpha, by_shape, by_alpha, by_shape, by_alpha):
+        assert run_cli(argv) == fresh[tuple(argv)]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from skyline.correspondences import (
     alphabet_support_check,
     biword_from_json,
     biword_to_json,
+    criterion_sweep,
     format_biword,
     from_multiset,
     inverse_rsk,
@@ -200,6 +202,23 @@ def test_main_theorem_worked_examples():
     assert not orbit_bruhat_leq(g4.shape, reverse(f4.shape))
     assert not orbit_bruhat_leq(reverse(f4.shape), g4.shape)
     assert main_theorem_predicate(Biword(()), 6) == (True, True)
+
+
+@pytest.mark.parametrize("n, max_len", [(0, 4), (1, 4), (2, 4), (3, 4), (4, 3)])
+def test_criterion_sweep_matches_the_predicate(n, max_len):
+    swept = list(criterion_sweep(n, max_len))
+    assert len({pairs for pairs, _, _ in swept}) == len(swept)  # each biword once
+    assert Counter(swept) == Counter(
+        (pairs, *main_theorem_predicate(Biword(pairs), n))
+        for pairs in biword_multisets(n, max_len)
+    )
+
+
+def test_criterion_sweep_rejects_negative_arguments():
+    with pytest.raises(ValueError):
+        list(criterion_sweep(-1, 2))
+    with pytest.raises(ValueError):
+        list(criterion_sweep(2, -1))
 
 
 def _count_dominance(f, g, j_col, i_col):

@@ -4,9 +4,10 @@ import pytest
 
 import skyline.permutations
 import skyline.shapes
+import skyline.tableaux
 
 
-@pytest.mark.parametrize("module", [skyline.shapes, skyline.permutations])
+@pytest.mark.parametrize("module", [skyline.shapes, skyline.permutations, skyline.tableaux])
 def test_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0

@@ -8,7 +8,6 @@ from skyline.permutations import (
     ReducedWord,
     act,
     apply_word,
-    bruhat_leq,
     bruhat_leq_subword,
     bubble_sort_op,
     compose,
@@ -60,15 +59,15 @@ def test_reduced_word_class_validates():
 def test_bruhat_extremes():
     for n in (2, 3, 4):
         for w in all_perms(n):
-            assert bruhat_leq(identity(n), w)
-            assert bruhat_leq(w, longest(n))
+            assert tableau_criterion_leq(identity(n), w)
+            assert tableau_criterion_leq(w, longest(n))
 
 
 def test_bruhat_incomparable_pair():
     s1 = (2, 1, 3)
     s2 = (1, 3, 2)
-    assert not bruhat_leq(s1, s2)
-    assert not bruhat_leq(s2, s1)
+    assert not tableau_criterion_leq(s1, s2)
+    assert not tableau_criterion_leq(s2, s1)
 
 
 def test_tableau_criterion_reflexive_and_example():
@@ -80,19 +79,19 @@ def test_tableau_criterion_reflexive_and_example():
 def test_bruhat_agrees_with_subword_oracle(n):
     for u in all_perms(n):
         for v in all_perms(n):
-            assert bruhat_leq(u, v) == bruhat_leq_subword(u, v)
+            assert tableau_criterion_leq(u, v) == bruhat_leq_subword(u, v)
 
 
 def test_bruhat_agrees_with_subword_oracle_s5():
     perms = all_perms(5)
     for u in perms:
         for v in perms:
-            assert bruhat_leq(u, v) == bruhat_leq_subword(u, v)
+            assert tableau_criterion_leq(u, v) == bruhat_leq_subword(u, v)
 
 
 def test_bruhat_size_mismatch():
     with pytest.raises(ValueError):
-        bruhat_leq((1, 2), (1, 2, 3))
+        tableau_criterion_leq((1, 2), (1, 2, 3))
 
 
 def test_longest_translations_are_antiautomorphisms():
@@ -100,9 +99,9 @@ def test_longest_translations_are_antiautomorphisms():
         w0 = longest(n)
         for u in all_perms(n):
             for v in all_perms(n):
-                expected = bruhat_leq(u, v)
-                assert bruhat_leq(compose(w0, v), compose(w0, u)) == expected
-                assert bruhat_leq(compose(v, w0), compose(u, w0)) == expected
+                expected = tableau_criterion_leq(u, v)
+                assert tableau_criterion_leq(compose(w0, v), compose(w0, u)) == expected
+                assert tableau_criterion_leq(compose(v, w0), compose(u, w0)) == expected
 
 
 def test_orbit_bruhat_examples():
@@ -132,6 +131,18 @@ def test_orbit_bruhat_via_evacuated_keys():
                     evacuation(key_tableau(a2)), evacuation(key_tableau(a1))
                 )
                 assert direct == via_evac
+
+
+def test_orbit_bruhat_matches_key_tableau_oracle():
+    # the former route: build both key tableaux and compare them cellwise
+    from skyline.tableaux import entrywise_leq, key_tableau
+
+    for alpha in small_compositions(4, 2):
+        members = sorted(orbit(alpha))
+        for a1 in members:
+            for a2 in members:
+                expected = entrywise_leq(key_tableau(a1), key_tableau(a2))
+                assert orbit_bruhat_leq(a1, a2) == expected
 
 
 def test_min_coset_rep_examples():
