@@ -18,6 +18,7 @@ from .crystal import (
     bounded_entry_restriction,
     crystal_graph,
     demazure_crystal,
+    demazure_graph,
     e_op,
     f_op,
     string_decomposition,

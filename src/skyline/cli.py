@@ -152,15 +152,7 @@ def _cmd_phi_inv(args, out) -> int:
 def _cmd_crystal(args, out) -> int:
     if args.alpha is not None:
         n = len(args.alpha) if args.n is None else args.n
-        dem = crystal.demazure_crystal(args.alpha, n)
-        graph = crystal.crystal_graph(tuple(sorted(args.alpha, reverse=True)), n)
-        kept = dem.vertices
-        graph = crystal.CrystalGraph(
-            graph.shape,
-            graph.n,
-            tuple(t for t in graph.vertices if t in kept),
-            tuple(e for e in graph.edges if e[0] in kept and e[2] in kept),
-        )
+        graph = crystal.demazure_graph(args.alpha, n)
     else:
         if args.shape is None or args.n is None:
             print("error: crystal needs --alpha or both --shape and --n", file=sys.stderr)

@@ -10,40 +10,35 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .permutations import min_coset_rep, orbit_bruhat_leq, reduced_word
+from .fillings import psi
+from .permutations import min_coset_rep, reduced_word
 from .polynomials import SparsePoly
-from .shapes import Composition, decreasing_rearrangement, num_parts, orbit
-from .tableaux import SSYT, enumerate_ssyt, is_key, key_tableau, yamanouchi
+from .shapes import Composition, decreasing_rearrangement, num_parts
+from .tableaux import SSYT, enumerate_ssyt, is_key, yamanouchi
+
+Cell = tuple[int, int]
 
 
-def _word_cells(tab: SSYT) -> list[tuple[int, int]]:
-    """Cells (row, col) in column-word order."""
-    width = len(tab.rows[0]) if tab.rows else 0
-    cells = []
-    for c in range(width):
-        cells.extend((r, c) for r in range(len(tab.rows) - 1, -1, -1) if len(tab.rows[r]) > c)
-    return cells
+def _replace_letter(tab: SSYT, cell: Cell, letter: int) -> SSYT:
+    r, c = cell
+    rows = list(tab.rows)
+    rows[r] = rows[r][:c] + (letter,) + rows[r][c + 1 :]
+    return SSYT(tuple(rows), tab.n)
 
 
-def _replace_letter(tab: SSYT, word_pos: int, letter: int) -> SSYT:
-    r, c = _word_cells(tab)[word_pos]
-    rows = [list(row) for row in tab.rows]
-    rows[r][c] = letter
-    return SSYT(tuple(tuple(row) for row in rows), tab.n)
-
-
-def _unmatched(word, i: int) -> tuple[list[int], list[int]]:
-    """Positions of unmatched i (closers) and i+1 (openers), left to right."""
-    closers: list[int] = []
-    openers: list[int] = []
-    for pos, letter in enumerate(word):
+def _unmatched(tab: SSYT, i: int) -> tuple[list[Cell], list[Cell]]:
+    """Cells of unmatched i (closers) and i+1 (openers), in column-word order."""
+    closers: list[Cell] = []
+    openers: list[Cell] = []
+    for r, c in tab.column_cells():
+        letter = tab.rows[r][c]
         if letter == i + 1:
-            openers.append(pos)
+            openers.append((r, c))
         elif letter == i:
             if openers:
                 openers.pop()
             else:
-                closers.append(pos)
+                closers.append((r, c))
     return closers, openers
 
 
@@ -51,7 +46,7 @@ def f_op(i: int, tab: SSYT) -> SSYT | None:
     """Raise the rightmost unmatched i to i+1, or None at a string end."""
     if not 1 <= i < tab.n:
         raise ValueError(f"crystal operator index {i} out of range for n={tab.n}")
-    closers, _ = _unmatched(tab.column_word(), i)
+    closers, _ = _unmatched(tab, i)
     if not closers:
         return None
     return _replace_letter(tab, closers[-1], i + 1)
@@ -61,7 +56,7 @@ def e_op(i: int, tab: SSYT) -> SSYT | None:
     """Lower the leftmost unmatched i+1 to i, or None at a string head."""
     if not 1 <= i < tab.n:
         raise ValueError(f"crystal operator index {i} out of range for n={tab.n}")
-    _, openers = _unmatched(tab.column_word(), i)
+    _, openers = _unmatched(tab, i)
     if not openers:
         return None
     return _replace_letter(tab, openers[0], i)
@@ -92,16 +87,15 @@ class DemazureCrystal:
 def crystal_graph(lam, n: int) -> CrystalGraph:
     lam = tuple(lam)
     vertices = tuple(enumerate_ssyt(lam, n))
-    index = {tab: pos for pos, tab in enumerate(vertices)}
+    members = frozenset(vertices)
     edges = []
     for tab in vertices:
         for i in range(1, n):
             out = f_op(i, tab)
             if out is not None:
-                if out not in index:
+                if out not in members:
                     raise AssertionError(f"f_{i} leaves the vertices of B({lam})")
                 edges.append((tab, i, out))
-    edges.sort(key=lambda e: (index[e[0]], e[1]))
     return CrystalGraph(lam[: num_parts(lam)], n, vertices, tuple(edges))
 
 
@@ -136,14 +130,28 @@ def demazure_crystal(alpha, n: int) -> DemazureCrystal:
     return DemazureCrystal(alpha, n, frozenset(current))
 
 
+def demazure_graph(alpha, n: int) -> CrystalGraph:
+    """The subgraph of B(lambda) induced on the Demazure crystal of ``alpha``."""
+    kept = demazure_crystal(alpha, n).vertices
+    graph = crystal_graph(decreasing_rearrangement(alpha), n)
+    return CrystalGraph(
+        graph.shape,
+        graph.n,
+        tuple(t for t in graph.vertices if t in kept),
+        tuple(e for e in graph.edges if e[0] in kept and e[2] in kept),
+    )
+
+
 def atom_set(alpha, n: int) -> frozenset[SSYT]:
-    """Tableaux of the Demazure crystal below no smaller orbit element."""
+    """Tableaux of the Demazure crystal whose skyline image has shape ``alpha``.
+
+    These are the tableaux with right key ``key(alpha)``, since the right
+    key of T is the key tableau of the shape of psi(T) (Mason).
+    """
     alpha = tuple(alpha)
-    keep = set(demazure_crystal(alpha, n).vertices)
-    for beta in orbit(alpha):
-        if beta != alpha and orbit_bruhat_leq(beta, alpha):
-            keep -= demazure_crystal(beta, n).vertices
-    return frozenset(keep)
+    return frozenset(
+        t for t in demazure_crystal(alpha, n).vertices if psi(t).shape == alpha
+    )
 
 
 def string_decomposition(graph: CrystalGraph, i: int) -> list[list[SSYT]]:

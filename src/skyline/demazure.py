@@ -50,11 +50,10 @@ def pihat_op(i: int, f: SparsePoly) -> SparsePoly:
     return pi_op(i, f) - f
 
 
-def apply_op_word(word, f: SparsePoly, hat: bool = False) -> SparsePoly:
-    """Compose operators in word order: the rightmost index acts first."""
-    op = pihat_op if hat else pi_op
+def apply_op_word(word, f: SparsePoly) -> SparsePoly:
+    """Compose operators pi_i in word order: the rightmost index acts first."""
     for i in reversed(tuple(word)):
-        f = op(i, f)
+        f = pi_op(i, f)
     return f
 
 

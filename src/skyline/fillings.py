@@ -117,67 +117,6 @@ def validate(filling: SSAF) -> bool:
     return _basics_ok(filling) and _triples_ok(filling)
 
 
-def _standardized(filling: SSAF) -> dict[tuple[int, int], int]:
-    """Standardization ranks for all cells, basement included.
-
-    The i-th occurrence of a letter in reading order gets rank i plus the
-    total count of smaller letters; basement cells participate as the last
-    row.  Equivalent to sorting by (value, reading position).
-    """
-    cells = []
-    pos = 0
-    for r in range(max(filling.shape, default=0), -1, -1):
-        for j in range(filling.n):
-            if r == 0:
-                cells.append((j + 1, pos, (r, j + 1)))
-                pos += 1
-            elif len(filling.columns[j]) >= r:
-                cells.append((filling.columns[j][r - 1], pos, (r, j + 1)))
-                pos += 1
-    ranks = {}
-    for rank, (_, _, cell) in enumerate(sorted(cells, key=lambda t: (t[0], t[1]))):
-        ranks[cell] = rank
-    return ranks
-
-
-def _orientation(points) -> int:
-    """Sign of the turn p1 -> p2 -> p3; positive is counterclockwise."""
-    (x1, y1), (x2, y2), (x3, y3) = points
-    return (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
-
-
-def validate_via_orientation(filling: SSAF) -> bool:
-    """Triple check straight from the orientation definition.
-
-    Agrees with :func:`validate`; kept as an independent route for tests.
-    """
-    if not _basics_ok(filling):
-        return False
-    ranks = _standardized(filling)
-    cols = filling.columns
-    h = filling.shape
-    n = filling.n
-
-    def point(r, j):
-        return (j, r)
-
-    for j1 in range(n):
-        for j2 in range(j1 + 1, n):
-            if h[j1] >= h[j2]:
-                for i in range(1, h[j2] + 1):
-                    trip = [(i, j1 + 1), (i - 1, j1 + 1), (i, j2 + 1)]
-                    ordered = sorted(trip, key=lambda cell: ranks[cell])
-                    if _orientation([point(*cell) for cell in ordered]) <= 0:
-                        return False
-            if h[j2] > h[j1]:
-                for i in range(0, h[j1] + 1):
-                    trip = [(i, j1 + 1), (i + 1, j2 + 1), (i, j2 + 1)]
-                    ordered = sorted(trip, key=lambda cell: ranks[cell])
-                    if _orientation([point(*cell) for cell in ordered]) >= 0:
-                        return False
-    return True
-
-
 def insert_with_chain(k: int, filling: SSAF):
     """Mason's insertion of the letter k, also reporting the bump chain.
 

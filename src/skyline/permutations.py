@@ -8,7 +8,6 @@ orbit element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .shapes import Composition, decreasing_rearrangement
 from .tableaux import key_columns
@@ -130,33 +129,6 @@ def tableau_criterion_leq(sigma, beta) -> bool:
     sigma, beta = check_permutation(sigma), check_permutation(beta)
     staircase = longest(len(sigma))
     return orbit_bruhat_leq(act(sigma, staircase), act(beta, staircase))
-
-
-def bruhat_leq_subword(theta, sigma) -> bool:
-    """Subword-property test; exponential, intended as a small-n oracle."""
-    theta, sigma = check_permutation(theta), check_permutation(sigma)
-    if len(theta) != len(sigma):
-        raise ValueError("size mismatch")
-    word = reduced_word(sigma)
-
-    @lru_cache(maxsize=None)
-    def rec(pos: int, th: Permutation) -> bool:
-        if length(th) == 0:
-            return True
-        if pos == len(word):
-            return False
-        if rec(pos + 1, th):
-            return True
-        i = word[pos]
-        # use word[pos] as the leftmost letter of a reduced word for th
-        shorter = tuple(
-            i + 1 if v == i else i if v == i + 1 else v for v in th
-        )
-        if length(shorter) < length(th):
-            return rec(pos + 1, shorter)
-        return False
-
-    return rec(0, theta)
 
 
 def orbit_bruhat_leq(alpha1, alpha2) -> bool:

@@ -211,9 +211,10 @@ def poly_sum(parts, nx: int, ny: int | None = None) -> SparsePoly:
     return SparsePoly(nx, terms, ny)
 
 
-def poly_from_json(data, nx: int | None = None, ny: int | None = None) -> SparsePoly:
-    """Rebuild a polynomial from its JSON term list."""
+def poly_from_json(data) -> SparsePoly:
+    """Rebuild a polynomial from its JSON term list; the first term fixes the arity."""
     terms = {}
+    nx = ny = None
     for item in data:
         xexp = tuple(item["x_exp"])
         if nx is None:

@@ -7,7 +7,6 @@ nothing in this package pads implicitly.
 from __future__ import annotations
 
 import itertools
-from math import factorial
 
 Composition = tuple[int, ...]
 
@@ -82,14 +81,6 @@ def cells(lam) -> set[tuple[int, int]]:
 def orbit(lam) -> set[Composition]:
     """All distinct rearrangements of a composition."""
     return set(itertools.permutations(lam))
-
-
-def stabiliser_order(lam) -> int:
-    """Order of the subgroup of position permutations fixing ``lam``."""
-    out = 1
-    for entry in set(lam):
-        out *= factorial(sum(1 for e in lam if e == entry))
-    return out
 
 
 def compositions_with_sum(total: int, length: int):

@@ -42,13 +42,15 @@ class SSYT:
     def size(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    def column_word(self) -> tuple[int, ...]:
-        """Entries of each column read top to bottom, columns left to right."""
+    def column_cells(self) -> list[tuple[int, int]]:
+        """Cells (row, col) of each column top to bottom, columns left to right."""
         width = len(self.rows[0]) if self.rows else 0
-        word = []
-        for c in range(width):
-            word.extend(row[c] for row in reversed(self.rows) if len(row) > c)
-        return tuple(word)
+        top_down = range(len(self.rows) - 1, -1, -1)
+        return [(r, c) for c in range(width) for r in top_down if len(self.rows[r]) > c]
+
+    def column_word(self) -> tuple[int, ...]:
+        """The entries in :meth:`column_cells` order."""
+        return tuple(self.rows[r][c] for r, c in self.column_cells())
 
     def content(self) -> Composition:
         """Multiplicity vector of the letters 1..n."""
@@ -65,14 +67,6 @@ class SSYT:
         if not self.rows:
             return "(empty tableau)"
         return "\n".join(" ".join(map(str, row)) for row in reversed(self.rows))
-
-
-def column_word(tab: SSYT) -> tuple[int, ...]:
-    return tab.column_word()
-
-
-def content(tab: SSYT) -> Composition:
-    return tab.content()
 
 
 def key_columns(gamma) -> list[tuple[int, ...]]:
@@ -99,12 +93,8 @@ def key_tableau(gamma) -> SSYT:
 
 
 def is_key(tab: SSYT) -> bool:
-    """True when each column's entry set contains the next column's."""
-    width = len(tab.rows[0]) if tab.rows else 0
-    cols = [
-        {row[c] for row in tab.rows if len(row) > c} for c in range(width)
-    ]
-    return all(cols[j + 1] <= cols[j] for j in range(width - 1))
+    """True when ``tab`` is the key tableau of its own content."""
+    return key_tableau(tab.content()) == tab
 
 
 def entrywise_leq(tab1: SSYT, tab2: SSYT) -> bool:

@@ -1,0 +1,131 @@
+"""Slow, independent routes that the tests check the library against.
+
+None of these is a production path: each one restates a definition
+directly, so that an agreement with the library's faster route means
+something.
+"""
+from functools import lru_cache
+from math import factorial
+
+from skyline.crystal import demazure_crystal
+from skyline.fillings import SSAF, _basics_ok
+from skyline.permutations import (
+    Permutation,
+    check_permutation,
+    length,
+    orbit_bruhat_leq,
+    reduced_word,
+)
+from skyline.shapes import orbit
+from skyline.tableaux import SSYT
+
+
+def bruhat_leq_subword(theta, sigma) -> bool:
+    """Subword-property test; exponential, intended as a small-n oracle."""
+    theta, sigma = check_permutation(theta), check_permutation(sigma)
+    if len(theta) != len(sigma):
+        raise ValueError("size mismatch")
+    word = reduced_word(sigma)
+
+    @lru_cache(maxsize=None)
+    def rec(pos: int, th: Permutation) -> bool:
+        if length(th) == 0:
+            return True
+        if pos == len(word):
+            return False
+        if rec(pos + 1, th):
+            return True
+        i = word[pos]
+        # use word[pos] as the leftmost letter of a reduced word for th
+        shorter = tuple(
+            i + 1 if v == i else i if v == i + 1 else v for v in th
+        )
+        if length(shorter) < length(th):
+            return rec(pos + 1, shorter)
+        return False
+
+    return rec(0, theta)
+
+
+def _standardized(filling: SSAF) -> dict[tuple[int, int], int]:
+    """Standardization ranks for all cells, basement included.
+
+    The i-th occurrence of a letter in reading order gets rank i plus the
+    total count of smaller letters; basement cells participate as the last
+    row.  Equivalent to sorting by (value, reading position).
+    """
+    cells = []
+    pos = 0
+    for r in range(max(filling.shape, default=0), -1, -1):
+        for j in range(filling.n):
+            if r == 0:
+                cells.append((j + 1, pos, (r, j + 1)))
+                pos += 1
+            elif len(filling.columns[j]) >= r:
+                cells.append((filling.columns[j][r - 1], pos, (r, j + 1)))
+                pos += 1
+    ranks = {}
+    for rank, (_, _, cell) in enumerate(sorted(cells, key=lambda t: (t[0], t[1]))):
+        ranks[cell] = rank
+    return ranks
+
+
+def _orientation(points) -> int:
+    """Sign of the turn p1 -> p2 -> p3; positive is counterclockwise."""
+    (x1, y1), (x2, y2), (x3, y3) = points
+    return (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+
+
+def validate_via_orientation(filling: SSAF) -> bool:
+    """Triple check straight from the orientation definition of an SSAF."""
+    if not _basics_ok(filling):
+        return False
+    ranks = _standardized(filling)
+    h = filling.shape
+    n = filling.n
+
+    def point(r, j):
+        return (j, r)
+
+    for j1 in range(n):
+        for j2 in range(j1 + 1, n):
+            if h[j1] >= h[j2]:
+                for i in range(1, h[j2] + 1):
+                    trip = [(i, j1 + 1), (i - 1, j1 + 1), (i, j2 + 1)]
+                    ordered = sorted(trip, key=lambda cell: ranks[cell])
+                    if _orientation([point(*cell) for cell in ordered]) <= 0:
+                        return False
+            if h[j2] > h[j1]:
+                for i in range(0, h[j1] + 1):
+                    trip = [(i, j1 + 1), (i + 1, j2 + 1), (i, j2 + 1)]
+                    ordered = sorted(trip, key=lambda cell: ranks[cell])
+                    if _orientation([point(*cell) for cell in ordered]) >= 0:
+                        return False
+    return True
+
+
+def stabiliser_order(lam) -> int:
+    """Order of the subgroup of position permutations fixing ``lam``."""
+    out = 1
+    for entry in set(lam):
+        out *= factorial(sum(1 for e in lam if e == entry))
+    return out
+
+
+def atom_set_by_subtraction(alpha, n: int) -> frozenset[SSYT]:
+    """Tableaux of the Demazure crystal below no smaller orbit element."""
+    alpha = tuple(alpha)
+    keep = set(demazure_crystal(alpha, n).vertices)
+    for beta in orbit(alpha):
+        if beta != alpha and orbit_bruhat_leq(beta, alpha):
+            keep -= demazure_crystal(beta, n).vertices
+    return frozenset(keep)
+
+
+def is_key_by_columns(tab: SSYT) -> bool:
+    """True when each column's entry set contains the next column's."""
+    width = len(tab.rows[0]) if tab.rows else 0
+    cols = [
+        {row[c] for row in tab.rows if len(row) > c} for c in range(width)
+    ]
+    return all(cols[j + 1] <= cols[j] for j in range(width - 1))

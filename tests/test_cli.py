@@ -420,9 +420,7 @@ def json_verb_argv(draw):
     return [verb] + argv + draw(st.sampled_from([[], ["--json"]]))
 
 
-@settings(max_examples=200)
-@given(json_verb_argv())
-def test_cli_contract_holds_for_any_json_payload(argv):
+def assert_cli_contract(argv):
     runs = []
     for _ in range(2):
         err = io.StringIO()
@@ -432,3 +430,73 @@ def test_cli_contract_holds_for_any_json_payload(argv):
         assert "Traceback" not in err.getvalue()
         runs.append((code, text))
     assert runs[0] == runs[1]
+
+
+@settings(max_examples=200)
+@given(json_verb_argv())
+def test_cli_contract_holds_for_any_json_payload(argv):
+    assert_cli_contract(argv)
+
+
+# entries <= 3, length <= 4, n <= 4 and deg <= 3 keep every verb small;
+# about one argument in six is malformed, so exit 0 and exit 2 both stay common
+malformed = st.sampled_from(["", "x", "1.5", "-1", "1,-1", "2,,1"])
+
+
+def either(draw, valid):
+    return draw(malformed) if draw(st.integers(1, 6)) == 3 else draw(valid)
+
+
+def csv(entries):
+    return ",".join(map(str, entries))
+
+
+compositions = st.lists(st.integers(0, 3), min_size=1, max_size=4).map(csv)
+partitions = st.lists(st.integers(0, 3), min_size=1, max_size=4).map(
+    lambda entries: csv(sorted(entries, reverse=True))
+)
+
+
+@st.composite
+def integer_verb_argv(draw):
+    verb = draw(
+        st.sampled_from(
+            ["key", "keypoly", "atom", "rsk", "crystal", "verify-main", "verify-kernel"]
+        )
+    )
+    small = lambda lo, hi: either(draw, st.integers(lo, hi).map(str))
+    if verb == "key":
+        argv = ["--gamma", either(draw, compositions)]
+    elif verb in ("keypoly", "atom"):
+        argv = ["--alpha", either(draw, compositions)]
+    elif verb == "rsk":
+        argv = ["--biword", draw(biwords.map(json.dumps))]
+        argv += draw(st.sampled_from([[], ["--n", small(0, 4)]]))
+    elif verb == "crystal":
+        if draw(st.booleans()):
+            argv = ["--shape", either(draw, partitions), "--n", small(0, 4)]
+        else:
+            alpha = either(draw, compositions)
+            # an --n must equal the length of --alpha
+            argv = ["--alpha", alpha] + draw(
+                st.sampled_from([[], ["--n", either(draw, st.just(str(alpha.count(",") + 1)))]])
+            )
+        argv += ["--format", draw(st.sampled_from(["dot", "json"]))]
+    elif verb == "verify-main":
+        argv = ["--n", small(1, 4), "--max-len", small(0, 3)]
+        argv += draw(st.sampled_from([[], ["--jobs", small(1, 2)]]))
+    else:
+        n = draw(st.integers(1, 4))
+        m = draw(st.integers(1, n))
+        argv = ["--n", either(draw, st.just(str(n))), "--m", either(draw, st.just(str(m))),
+                "--k", small(n + 1 - m, n), "--deg", small(0, 3)]
+        argv += draw(st.sampled_from([[], ["--jobs", small(1, 2)]]))
+    if verb not in ("crystal", "verify-main"):
+        argv += draw(st.sampled_from([[], ["--json"]]))
+    return [verb] + argv
+
+
+@settings(max_examples=200)
+@given(integer_verb_argv())
+def test_cli_contract_holds_for_any_composition_or_integer(argv):
+    assert_cli_contract(argv)

@@ -20,6 +20,7 @@ from skyline.permutations import orbit_bruhat_leq
 from skyline.polynomials import SparsePoly
 from skyline.shapes import orbit, reverse
 from skyline.tableaux import enumerate_ssyt, key_tableau, yamanouchi
+from oracles import atom_set_by_subtraction
 from util import partitions_up_to
 
 
@@ -174,6 +175,17 @@ def test_atom_set_right_keys():
                 for tab in members:
                     assert right_key(tab) == key
                 assert unique_key_tableau(members) == key
+
+
+def test_atom_set_filter_matches_subtraction_oracle():
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for lam in partitions_up_to(5, n):
+            padded = lam + (0,) * (n - len(lam))
+            for alpha in orbit(padded):
+                assert atom_set(alpha, n) == atom_set_by_subtraction(alpha, n)
+                checked += 1
+    assert checked == 209
 
 
 def test_string_decomposition():

@@ -15,10 +15,10 @@ from skyline.fillings import (
     ssaf_from_json,
     ssaf_to_json,
     validate,
-    validate_via_orientation,
 )
 from skyline.shapes import decreasing_rearrangement, num_parts
 from skyline.tableaux import enumerate_ssyt, key_tableau, yamanouchi
+from oracles import validate_via_orientation
 from util import partitions_up_to, small_compositions
 
 KNOWN_FILLING = SSAF(((1,), (), (3, 3, 1), (4, 2), (), (6,)))  # shape (1,0,3,2,0,1)

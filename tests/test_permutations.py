@@ -8,7 +8,6 @@ from skyline.permutations import (
     ReducedWord,
     act,
     apply_word,
-    bruhat_leq_subword,
     bubble_sort_op,
     compose,
     from_word,
@@ -21,6 +20,7 @@ from skyline.permutations import (
     tableau_criterion_leq,
 )
 from skyline.shapes import decreasing_rearrangement, orbit
+from oracles import bruhat_leq_subword
 from util import small_compositions
 
 

@@ -13,9 +13,9 @@ from skyline.shapes import (
     decreasing_rearrangement,
     orbit,
     partition_from_json,
-    stabiliser_order,
     truncated_staircase,
 )
+from oracles import stabiliser_order
 
 comps = st.lists(st.integers(0, 4), min_size=0, max_size=5).map(tuple)
 

@@ -14,6 +14,7 @@ from skyline.tableaux import (
     ssyt_to_json,
     yamanouchi,
 )
+from oracles import is_key_by_columns
 from util import partitions_up_to, small_compositions
 
 T_RAGGED = SSYT(((1, 1, 2, 3), (2, 3), (3, 4)), 4)  # shape (4, 2, 2)
@@ -73,6 +74,16 @@ def test_is_key():
     assert not is_key(T_RAGGED)
     assert not is_key(SSYT(((1, 2),), 2))
     assert is_key(SSYT(((1, 1),), 2))
+
+
+def test_is_key_matches_nested_columns_oracle():
+    checked = 0
+    for n in range(6):
+        for lam in partitions_up_to(6, n):
+            for tab in enumerate_ssyt(lam, n):
+                assert is_key(tab) == is_key_by_columns(tab)
+                checked += 1
+    assert checked == 4415
 
 
 def test_evacuation_key_identity():
