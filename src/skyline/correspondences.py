@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fillings import SSAF, empty_ssaf, insert, psi, psi_inverse
+from .fillings import SSAF, empty_ssaf, insert_columns, psi, psi_inverse
 from .permutations import orbit_bruhat_leq
 from .shapes import decreasing_rearrangement, reverse
 from .tableaux import SSYT, _row_insert
@@ -124,29 +124,34 @@ def inverse_rsk(p: SSYT, q: SSYT) -> Biword:
     return Biword(tuple(reversed(pairs)))
 
 
-def _place_in_recording(g: SSAF, letter: int, h: int) -> SSAF:
+def _place_in_recording(cols, letter: int, h: int):
     """Step 3 of the correspondence: record ``letter`` at height ``h``.
 
     Height 1 starts column ``letter``; otherwise the leftmost column of
     height h-1 whose top is >= ``letter`` grows by one cell.
     """
-    cols = g.columns
     c = letter - 1 if h == 1 else next(
         (c for c, col in enumerate(cols) if len(col) == h - 1 and col[-1] >= letter), None
     )
     if c is None or len(cols[c]) != h - 1:
         raise AssertionError("no admissible column for the recording placement")
-    return SSAF(cols[:c] + (cols[c] + (letter,),) + cols[c + 1 :])
+    return cols[:c] + (cols[c] + (letter,),) + cols[c + 1 :]
+
+
+def _step_columns(f, g, i: int, j: int):
+    """:func:`phi_step` on the raw column tuples of (insertion, recording)."""
+    f, h, _, _ = insert_columns(j, f)
+    g = _place_in_recording(g, i, h)
+    # the two shapes stay rearrangements of each other at every stage
+    if sorted(map(len, f)) != sorted(map(len, g)):
+        raise AssertionError("insertion and recording shapes diverged")
+    return f, g
 
 
 def phi_step(f: SSAF, g: SSAF, i: int, j: int) -> tuple[SSAF, SSAF]:
     """Extend (insertion, recording) by the biletter (i, j), which phi reads next."""
-    f, h, _ = insert(j, f)
-    g = _place_in_recording(g, i, h)
-    # the two shapes stay rearrangements of each other at every stage
-    if decreasing_rearrangement(f.shape) != decreasing_rearrangement(g.shape):
-        raise AssertionError("insertion and recording shapes diverged")
-    return f, g
+    f, g = _step_columns(f.columns, g.columns, i, j)
+    return SSAF(f), SSAF(g)
 
 
 def phi_steps(w: Biword, n: int) -> list[tuple[SSAF, SSAF]]:
@@ -204,20 +209,26 @@ def criterion_sweep(n: int, max_len: int):
     them for ``Biword(pairs)``, once per biword of length <= ``max_len``, in
     no fixed order.  phi reads the last biletter first, so a depth-first
     search that prepends biletters in non-increasing lexicographic order
-    gets each child's (F, G) from its parent's by one :func:`phi_step`.
+    gets each child's (F, G) from its parent's by one :func:`phi_step`,
+    run on raw columns, and each distinct shape pair costs one Bruhat test.
     """
     if n < 0 or max_len < 0:
         raise ValueError(f"need n >= 0 and max_len >= 0, got {n} and {max_len}")
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    empty = empty_ssaf(n)
-    # (pairs, lhs, F, G, number of cells that may still be prepended)
+    empty = empty_ssaf(n).columns
+    bruhat = {}  # sh(G) + sh(F) -> rhs; shape pairs repeat across many nodes
+    # (pairs, lhs, columns of F, columns of G, number of cells still prependable)
     stack = [((), True, empty, empty, len(cells))]
     while stack:
         pairs, lhs, f, g, allowed = stack.pop()
-        yield pairs, lhs, orbit_bruhat_leq(g.shape, reverse(f.shape))
+        shapes = tuple(map(len, g + f))
+        rhs = bruhat.get(shapes)
+        if rhs is None:
+            rhs = bruhat[shapes] = orbit_bruhat_leq(shapes[:n], reverse(shapes[n:]))
+        yield pairs, lhs, rhs
         if len(pairs) < max_len:
             for c, (i, j) in enumerate(cells[:allowed]):
-                f2, g2 = phi_step(f, g, i, j)
+                f2, g2 = _step_columns(f, g, i, j)
                 stack.append((((i, j),) + pairs, lhs and i + j <= n + 1, f2, g2, c + 1))
 
 

@@ -117,51 +117,46 @@ def validate(filling: SSAF) -> bool:
     return _basics_ok(filling) and _triples_ok(filling)
 
 
-def insert_with_chain(k: int, filling: SSAF):
-    """Mason's insertion of the letter k, also reporting the bump chain.
+def insert_columns(k: int, columns):
+    """Mason's insertion of the letter k into raw columns, with the bump chain.
 
-    Scans the cells in reading order, basement included.  A cell admits the
-    carried value x when its entry is >= x and the cell above holds
-    something smaller (or is empty); bumping swaps and the scan continues,
-    while an empty cell above ends the procedure by creating a new cell.
+    Scans the cells in reading order (rows top to bottom, basement
+    included).  A cell admits the carried value x when its entry is >= x
+    and the cell above holds something smaller (or is empty); bumping swaps
+    and the scan continues, while an empty cell above ends the procedure by
+    creating a new cell.  Only the columns that change are copied.
 
-    Returns (new SSAF, terminal height, terminal column, carried values).
+    Returns (new columns, terminal height, terminal column, carried values).
     """
-    n = filling.n
+    n = len(columns)
     if not 1 <= k <= n:
         raise ValueError(f"letter {k} outside alphabet [1, {n}]")
-    cols = [list(c) for c in filling.columns]
-    order = [
-        (r, j)
-        for r in range(max(filling.shape, default=0), 0, -1)
-        for j in range(n)
-        if len(cols[j]) >= r
-    ]
-    order.extend((0, j) for j in range(n))
-
-    def val(r, j):
-        return cols[j][r - 1] if r >= 1 else j + 1
-
-    def above(r, j):
-        return cols[j][r] if len(cols[j]) > r else 0
-
+    cols = list(columns)
     x = k
     chain = [k]
-    for r, j in order:
-        if val(r, j) < x or above(r, j) >= x:
-            continue
-        if len(cols[j]) > r:
-            cols[j][r], x = x, cols[j][r]
-            chain.append(x)
-        else:
+    for r in range(max(map(len, cols), default=0), -1, -1):
+        for j, col in enumerate(cols):
+            if len(col) < r or (col[r - 1] if r else j + 1) < x:
+                continue
+            if len(col) > r:
+                if col[r] < x:
+                    cols[j], x = col[:r] + (x,) + col[r + 1 :], col[r]
+                    chain.append(x)
+                continue
             # the terminal column is the rightmost one reaching this height
-            if any(len(cols[j2]) == r + 1 for j2 in range(j + 1, n)):
+            if any(len(c) == r + 1 for c in cols[j + 1 :]):
                 raise AssertionError(
                     "the terminal column must be the rightmost one of its height"
                 )
-            cols[j].append(x)
-            return SSAF(tuple(tuple(c) for c in cols)), r + 1, j + 1, tuple(chain)
+            cols[j] = col + (x,)
+            return tuple(cols), r + 1, j + 1, tuple(chain)
     raise AssertionError("insertion scan exhausted; filling was not a valid SSAF")
+
+
+def insert_with_chain(k: int, filling: SSAF):
+    """:func:`insert_columns` on an SSAF: (new SSAF, height, column, chain)."""
+    cols, h, col, chain = insert_columns(k, filling.columns)
+    return SSAF(cols), h, col, chain
 
 
 def insert(k: int, filling: SSAF) -> tuple[SSAF, int, int]:
@@ -172,10 +167,10 @@ def insert(k: int, filling: SSAF) -> tuple[SSAF, int, int]:
 
 def psi(tab: SSYT) -> SSAF:
     """Mason's bijection: insert the column word from right to left."""
-    filling = empty_ssaf(tab.n)
+    cols = empty_ssaf(tab.n).columns
     for letter in reversed(tab.column_word()):
-        filling, _, _ = insert(letter, filling)
-    return filling
+        cols = insert_columns(letter, cols)[0]
+    return SSAF(cols)
 
 
 def psi_inverse(filling: SSAF) -> SSYT:

@@ -75,10 +75,11 @@ def key_columns(gamma) -> list[tuple[int, ...]]:
     >>> key_columns((1, 3, 0, 0, 1))
     [(1, 2, 5), (2,), (2,)]
     """
-    return [
-        tuple(i + 1 for i, g in enumerate(gamma) if g >= j)
-        for j in range(1, max(gamma, default=0) + 1)
-    ]
+    cols: list[list[int]] = [[] for _ in range(max(gamma, default=0))]
+    for i, g in enumerate(gamma):
+        for col in cols[:g]:
+            col.append(i + 1)
+    return [tuple(col) for col in cols]
 
 
 def key_tableau(gamma) -> SSYT:

@@ -104,6 +104,49 @@ def validate_via_orientation(filling: SSAF) -> bool:
     return True
 
 
+def insert_by_reading_order(k: int, filling: SSAF):
+    """Mason's insertion over an explicit list of cells in reading order.
+
+    Builds the whole reading order, basement last, and copies every column
+    before scanning; returns (new SSAF, terminal height, terminal column,
+    carried values) like :func:`skyline.fillings.insert_with_chain`.
+    """
+    n = filling.n
+    if not 1 <= k <= n:
+        raise ValueError(f"letter {k} outside alphabet [1, {n}]")
+    cols = [list(c) for c in filling.columns]
+    order = [
+        (r, j)
+        for r in range(max(filling.shape, default=0), 0, -1)
+        for j in range(n)
+        if len(cols[j]) >= r
+    ]
+    order.extend((0, j) for j in range(n))
+
+    def val(r, j):
+        return cols[j][r - 1] if r >= 1 else j + 1
+
+    def above(r, j):
+        return cols[j][r] if len(cols[j]) > r else 0
+
+    x = k
+    chain = [k]
+    for r, j in order:
+        if val(r, j) < x or above(r, j) >= x:
+            continue
+        if len(cols[j]) > r:
+            cols[j][r], x = x, cols[j][r]
+            chain.append(x)
+        else:
+            if any(len(cols[j2]) == r + 1 for j2 in range(j + 1, n)):
+                raise AssertionError(
+                    "the terminal column must be the rightmost one of its height"
+                )
+            cols[j].append(x)
+            return SSAF(tuple(tuple(c) for c in cols)), r + 1, j + 1, tuple(chain)
+    raise AssertionError("insertion scan exhausted; filling was not a valid SSAF")
+
+
 def stabiliser_order(lam) -> int:
     """Order of the subgroup of position permutations fixing ``lam``."""
     out = 1

@@ -204,7 +204,9 @@ def test_main_theorem_worked_examples():
     assert main_theorem_predicate(Biword(()), 6) == (True, True)
 
 
-@pytest.mark.parametrize("n, max_len", [(0, 4), (1, 4), (2, 4), (3, 4), (4, 3)])
+@pytest.mark.parametrize(
+    "n, max_len", [(0, 4), (1, 4), (2, 4), (3, 4), (4, 3), (5, 3), (2, 6)]
+)
 def test_criterion_sweep_matches_the_predicate(n, max_len):
     swept = list(criterion_sweep(n, max_len))
     assert len({pairs for pairs, _, _ in swept}) == len(swept)  # each biword once

@@ -18,7 +18,7 @@ from skyline.fillings import (
 )
 from skyline.shapes import decreasing_rearrangement, num_parts
 from skyline.tableaux import enumerate_ssyt, key_tableau, yamanouchi
-from oracles import validate_via_orientation
+from oracles import insert_by_reading_order, validate_via_orientation
 from util import partitions_up_to, small_compositions
 
 KNOWN_FILLING = SSAF(((1,), (), (3, 3, 1), (4, 2), (), (6,)))  # shape (1,0,3,2,0,1)
@@ -119,6 +119,18 @@ def test_insert_preserves_validity_and_content():
                     if a != b
                 ]
                 assert diff == [(col - 1, h - 1, h)]
+
+
+def test_insert_matches_the_reading_order_oracle():
+    insertions = 0
+    for gamma in small_compositions(5, 3, min_len=1):
+        if sum(gamma) > 7:
+            continue
+        for filling in enumerate_ssaf(gamma):
+            for k in range(1, filling.n + 1):
+                assert insert_with_chain(k, filling) == insert_by_reading_order(k, filling)
+                insertions += 1
+    assert insertions == 13032
 
 
 def test_psi_known_images():
