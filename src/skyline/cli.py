@@ -62,14 +62,8 @@ def _cmd_key(args, out) -> int:
     return 0
 
 
-def _cmd_keypoly(args, out) -> int:
-    poly = demazure.key_polynomial(args.alpha)
-    _print(out, json.dumps(poly.to_json()) if args.json else str(poly))
-    return 0
-
-
-def _cmd_atom(args, out) -> int:
-    poly = demazure.atom(args.alpha)
+def _cmd_polynomial(args, out) -> int:
+    poly = args.polynomial(args.alpha)
     _print(out, json.dumps(poly.to_json()) if args.json else str(poly))
     return 0
 
@@ -216,13 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_parse_composition, required=True)
     p.add_argument("--json", action="store_true")
 
-    p = add("keypoly", _cmd_keypoly, help="key polynomial (Demazure character)")
-    p.add_argument("--alpha", type=_parse_composition, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = add("atom", _cmd_atom, help="Demazure atom")
-    p.add_argument("--alpha", type=_parse_composition, required=True)
-    p.add_argument("--json", action="store_true")
+    for name, polynomial, text in (
+        ("keypoly", demazure.key_polynomial, "key polynomial (Demazure character)"),
+        ("atom", demazure.atom, "Demazure atom"),
+    ):
+        p = add(name, _cmd_polynomial, help=text)
+        p.set_defaults(polynomial=polynomial)
+        p.add_argument("--alpha", type=_parse_composition, required=True)
+        p.add_argument("--json", action="store_true")
 
     p = add("insert", _cmd_insert, help="insert a letter into an SSAF")
     p.add_argument("--k", type=int, required=True)

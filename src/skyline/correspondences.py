@@ -139,7 +139,7 @@ def _place_in_recording(cols, letter: int, h: int):
 
 
 def _step_columns(f, g, i: int, j: int):
-    """:func:`phi_step` on the raw column tuples of (insertion, recording)."""
+    """One step of phi: extend raw (insertion, recording) columns by (i, j)."""
     f, h, _, _ = insert_columns(j, f)
     g = _place_in_recording(g, i, h)
     # the two shapes stay rearrangements of each other at every stage
@@ -148,22 +148,16 @@ def _step_columns(f, g, i: int, j: int):
     return f, g
 
 
-def phi_step(f: SSAF, g: SSAF, i: int, j: int) -> tuple[SSAF, SSAF]:
-    """Extend (insertion, recording) by the biletter (i, j), which phi reads next."""
-    f, g = _step_columns(f.columns, g.columns, i, j)
-    return SSAF(f), SSAF(g)
-
-
 def phi_steps(w: Biword, n: int) -> list[tuple[SSAF, SSAF]]:
     """All intermediate (insertion, recording) pairs, one per biletter."""
     for i, j in w.pairs:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"biletter ({i}, {j}) exceeds the alphabet [1, {n}]")
-    f = g = empty_ssaf(n)
+    f = g = empty_ssaf(n).columns
     stages = []
     for i, j in reversed(w.pairs):
-        f, g = phi_step(f, g, i, j)
-        stages.append((f, g))
+        f, g = _step_columns(f, g, i, j)
+        stages.append((SSAF(f), SSAF(g)))
     return stages
 
 
@@ -209,8 +203,8 @@ def criterion_sweep(n: int, max_len: int):
     them for ``Biword(pairs)``, once per biword of length <= ``max_len``, in
     no fixed order.  phi reads the last biletter first, so a depth-first
     search that prepends biletters in non-increasing lexicographic order
-    gets each child's (F, G) from its parent's by one :func:`phi_step`,
-    run on raw columns, and each distinct shape pair costs one Bruhat test.
+    gets each child's (F, G) from its parent's by one
+    :func:`_step_columns`, and each distinct shape pair costs one Bruhat test.
     """
     if n < 0 or max_len < 0:
         raise ValueError(f"need n >= 0 and max_len >= 0, got {n} and {max_len}")

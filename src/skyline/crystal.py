@@ -64,7 +64,7 @@ def e_op(i: int, tab: SSYT) -> SSYT | None:
 
 @dataclass(frozen=True)
 class CrystalGraph:
-    """Coloured digraph on all tableaux of one shape."""
+    """Coloured digraph on tableaux of one shape: B(lambda) or an induced subgraph."""
 
     shape: Composition
     n: int
@@ -84,19 +84,31 @@ class DemazureCrystal:
         return weight_sum(self.vertices, self.n)
 
 
-def crystal_graph(lam, n: int) -> CrystalGraph:
-    lam = tuple(lam)
-    vertices = tuple(enumerate_ssyt(lam, n))
+def _induced_graph(lam, n: int, vertices) -> CrystalGraph:
+    """The subgraph of B(lam) induced on ``vertices``.
+
+    Vertices are listed in column-word order, edges ``(tab, i, f_i(tab))`` by
+    source position and then colour, keeping those whose target is a vertex.
+    """
+    vertices = tuple(sorted(vertices, key=SSYT.column_word))
     members = frozenset(vertices)
-    edges = []
-    for tab in vertices:
-        for i in range(1, n):
-            out = f_op(i, tab)
-            if out is not None:
-                if out not in members:
-                    raise AssertionError(f"f_{i} leaves the vertices of B({lam})")
-                edges.append((tab, i, out))
-    return CrystalGraph(lam[: num_parts(lam)], n, vertices, tuple(edges))
+    edges = tuple(
+        (tab, i, out)
+        for tab in vertices
+        for i in range(1, n)
+        if (out := f_op(i, tab)) in members
+    )
+    return CrystalGraph(lam[: num_parts(lam)], n, vertices, edges)
+
+
+def crystal_graph(lam, n: int) -> CrystalGraph:
+    """The crystal graph B(lam) on all tableaux of shape ``lam`` over [n].
+
+    >>> len(crystal_graph((2, 1), 3).vertices)
+    8
+    """
+    lam = tuple(lam)
+    return _induced_graph(lam, n, enumerate_ssyt(lam, n))
 
 
 def _saturate_heads(current: set[SSYT], i: int) -> set[SSYT]:
@@ -132,14 +144,8 @@ def demazure_crystal(alpha, n: int) -> DemazureCrystal:
 
 def demazure_graph(alpha, n: int) -> CrystalGraph:
     """The subgraph of B(lambda) induced on the Demazure crystal of ``alpha``."""
-    kept = demazure_crystal(alpha, n).vertices
-    graph = crystal_graph(decreasing_rearrangement(alpha), n)
-    return CrystalGraph(
-        graph.shape,
-        graph.n,
-        tuple(t for t in graph.vertices if t in kept),
-        tuple(e for e in graph.edges if e[0] in kept and e[2] in kept),
-    )
+    vertices = demazure_crystal(alpha, n).vertices
+    return _induced_graph(decreasing_rearrangement(alpha), n, vertices)
 
 
 def atom_set(alpha, n: int) -> frozenset[SSYT]:

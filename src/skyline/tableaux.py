@@ -148,9 +148,9 @@ def evacuation(tab: SSYT) -> SSYT:
 
 
 def enumerate_ssyt(lam, n: int):
-    """All SSYT of shape ``lam`` with entries <= n, sorted by column word.
+    """Every SSYT of shape ``lam`` with entries <= n.
 
-    Each call returns a fresh iterator over the same deterministic sequence.
+    A generator: each call yields the same sequence, in no promised order.
     """
     lam = tuple(lam)
     if not is_partition(lam):
@@ -158,16 +158,15 @@ def enumerate_ssyt(lam, n: int):
     lam = lam[: num_parts(lam)]
     if len(lam) > n:
         raise ValueError(f"shape {lam} has more than n={n} rows")
-    found: list[SSYT] = []
 
     rows: list[list[int]] = [[] for _ in lam]
 
     def fill(r: int, c: int):
         if r == len(lam):
-            found.append(SSYT(tuple(tuple(row) for row in rows), n))
+            yield SSYT(tuple(tuple(row) for row in rows), n)
             return
         if c == lam[r]:
-            fill(r + 1, 0)
+            yield from fill(r + 1, 0)
             return
         lo = 1
         if c > 0:
@@ -176,12 +175,10 @@ def enumerate_ssyt(lam, n: int):
             lo = max(lo, rows[r - 1][c] + 1)
         for v in range(lo, n + 1):
             rows[r].append(v)
-            fill(r, c + 1)
+            yield from fill(r, c + 1)
             rows[r].pop()
 
-    fill(0, 0)
-    found.sort(key=lambda t: t.column_word())
-    return iter(found)
+    yield from fill(0, 0)
 
 
 def yamanouchi(lam, n: int) -> SSYT:

@@ -7,7 +7,7 @@ something.
 from functools import lru_cache
 from math import factorial
 
-from skyline.crystal import demazure_crystal
+from skyline.crystal import CrystalGraph, crystal_graph, demazure_crystal
 from skyline.fillings import SSAF, _basics_ok
 from skyline.permutations import (
     Permutation,
@@ -16,7 +16,7 @@ from skyline.permutations import (
     orbit_bruhat_leq,
     reduced_word,
 )
-from skyline.shapes import orbit
+from skyline.shapes import decreasing_rearrangement, orbit
 from skyline.tableaux import SSYT
 
 
@@ -163,6 +163,18 @@ def atom_set_by_subtraction(alpha, n: int) -> frozenset[SSYT]:
         if beta != alpha and orbit_bruhat_leq(beta, alpha):
             keep -= demazure_crystal(beta, n).vertices
     return frozenset(keep)
+
+
+def demazure_graph_by_filtering(alpha, n: int) -> CrystalGraph:
+    """Build all of B(lambda), then keep the Demazure vertices and their edges."""
+    kept = demazure_crystal(alpha, n).vertices
+    graph = crystal_graph(decreasing_rearrangement(alpha), n)
+    return CrystalGraph(
+        graph.shape,
+        graph.n,
+        tuple(t for t in graph.vertices if t in kept),
+        tuple(e for e in graph.edges if e[0] in kept and e[2] in kept),
+    )
 
 
 def is_key_by_columns(tab: SSYT) -> bool:

@@ -7,6 +7,7 @@ from skyline.crystal import (
     bounded_entry_restriction,
     crystal_graph,
     demazure_crystal,
+    demazure_graph,
     e_op,
     export_graph,
     f_op,
@@ -20,7 +21,7 @@ from skyline.permutations import orbit_bruhat_leq
 from skyline.polynomials import SparsePoly
 from skyline.shapes import orbit, reverse
 from skyline.tableaux import enumerate_ssyt, key_tableau, yamanouchi
-from oracles import atom_set_by_subtraction
+from oracles import atom_set_by_subtraction, demazure_graph_by_filtering
 from util import partitions_up_to
 
 
@@ -56,12 +57,22 @@ def test_crystal_graph_sizes_and_degrees():
     assert len(g.vertices) == 15
     g1 = crystal_graph((1,), 2)
     assert len(g1.vertices) == 2 and len(g1.edges) == 1
-    for graph in (g, g1):
-        for colour in range(1, graph.n):
-            outs = [e[0] for e in graph.edges if e[1] == colour]
-            ins = [e[2] for e in graph.edges if e[1] == colour]
-            assert len(outs) == len(set(outs))
-            assert len(ins) == len(set(ins))
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for lam in partitions_up_to(5, n):
+            graph = crystal_graph(lam, n)
+            members = set(graph.vertices)
+            for tab in graph.vertices:
+                for colour in range(1, n):
+                    out = f_op(colour, tab)
+                    assert out is None or out in members
+            for colour in range(1, n):
+                outs = [e[0] for e in graph.edges if e[1] == colour]
+                ins = [e[2] for e in graph.edges if e[1] == colour]
+                assert len(outs) == len(set(outs))
+                assert len(ins) == len(set(ins))
+            checked += 1
+    assert checked == 52
 
 
 def test_crystal_graph_connected_from_highest_weight():
@@ -186,6 +197,33 @@ def test_atom_set_filter_matches_subtraction_oracle():
                 assert atom_set(alpha, n) == atom_set_by_subtraction(alpha, n)
                 checked += 1
     assert checked == 209
+
+
+def test_demazure_graph_matches_the_filtering_oracle():
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for lam in partitions_up_to(5, n):
+            padded = lam + (0,) * (n - len(lam))
+            for alpha in orbit(padded):
+                assert demazure_graph(alpha, n) == demazure_graph_by_filtering(alpha, n)
+                checked += 1
+    assert checked == 209
+
+
+def test_graphs_list_vertices_by_column_word_and_edges_by_source_then_colour():
+    graphs = []
+    for n in (1, 2, 3, 4):
+        for lam in partitions_up_to(5, n):
+            graphs.append(crystal_graph(lam, n))
+            padded = lam + (0,) * (n - len(lam))
+            graphs.extend(demazure_graph(alpha, n) for alpha in orbit(padded))
+    assert len(graphs) == 261
+    for graph in graphs:
+        words = [tab.column_word() for tab in graph.vertices]
+        assert words == sorted(words) and len(set(words)) == len(words)
+        position = {tab: pos for pos, tab in enumerate(graph.vertices)}
+        order = [(position[src], colour) for src, colour, _ in graph.edges]
+        assert order == sorted(order) and len(set(order)) == len(order)
 
 
 def test_string_decomposition():

@@ -2,12 +2,15 @@ import doctest
 
 import pytest
 
+import skyline.crystal
 import skyline.permutations
 import skyline.shapes
 import skyline.tableaux
 
 
-@pytest.mark.parametrize("module", [skyline.shapes, skyline.permutations, skyline.tableaux])
+@pytest.mark.parametrize(
+    "module", [skyline.shapes, skyline.permutations, skyline.tableaux, skyline.crystal]
+)
 def test_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0
