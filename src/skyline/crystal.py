@@ -14,7 +14,7 @@ from .fillings import psi
 from .permutations import min_coset_rep, reduced_word
 from .polynomials import SparsePoly
 from .shapes import Composition, decreasing_rearrangement, num_parts
-from .tableaux import SSYT, enumerate_ssyt, is_key, yamanouchi
+from .tableaux import SSYT, enumerate_ssyt, is_key, ssyt_to_json, yamanouchi
 
 Cell = tuple[int, int]
 
@@ -216,8 +216,6 @@ def export_graph(graph: CrystalGraph, format: str = "dot") -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if format == "json":
-        from .tableaux import ssyt_to_json
-
         index = {tab: pos for pos, tab in enumerate(graph.vertices)}
         payload = {
             "shape": list(graph.shape),

@@ -171,7 +171,7 @@ def kernel_lhs(inst: KernelInstance, d: int) -> SparsePoly:
         for t in range(d + 1):
             xexp = (0,) * i + (t,) + (0,) * (k - i - 1)
             for yexp in compositions_with_sum(t, length):
-                row_terms[(xexp, yexp + (0,) * (m - length))] = 1
+                row_terms[xexp + yexp + (0,) * (m - length)] = 1
         total = total.truncated_mul(SparsePoly(k, row_terms, m), d)
     return total
 
@@ -205,17 +205,7 @@ def verify_expansion(inst: KernelInstance, d: int) -> ExpansionReport:
     equal = lhs == rhs
     first_diff = None
     if not equal:
-        diff_keys = set(lhs.terms) ^ set(rhs.terms)
-        diff_keys |= {
-            key
-            for key in set(lhs.terms) & set(rhs.terms)
-            if lhs.terms[key] != rhs.terms[key]
-        }
-        key = min(diff_keys, key=lambda kv: (sum(kv[0]), kv[0], kv[1]))
-        first_diff = (
-            key[0],
-            key[1],
-            lhs.terms.get(key, 0),
-            rhs.terms.get(key, 0),
-        )
+        key, _ = (lhs - rhs).sorted_terms()[0]
+        k = inst.k
+        first_diff = (key[:k], key[k:], lhs.terms.get(key, 0), rhs.terms.get(key, 0))
     return ExpansionReport(inst.n, inst.m, inst.k, d, lhs, rhs, equal, first_diff)

@@ -13,8 +13,12 @@ from operator import add
 class SparsePoly:
     """Sparse polynomial over Z in x_1..x_nx and optionally y_1..y_ny.
 
-    Terms map an exponent tuple (or a pair of tuples for two alphabets) to
-    a nonzero integer coefficient.
+    Terms map one flat exponent tuple, the nx x-exponents followed by the
+    ny y-exponents (none for one alphabet), to a nonzero integer
+    coefficient:
+
+    >>> SparsePoly.monomial(2, (1, 0), (0, 3)).terms
+    {(1, 0, 0, 3): 2}
     """
 
     __slots__ = ("nx", "ny", "terms")
@@ -22,17 +26,13 @@ class SparsePoly:
     def __init__(self, nx: int, terms=None, ny: int | None = None):
         self.nx = nx
         self.ny = ny
+        width = nx + (ny or 0)
         clean = {}
         for key, coeff in (terms or {}).items():
             if coeff == 0:
                 continue
-            if ny is None:
-                if len(key) != nx:
-                    raise ValueError(f"exponent {key} has length != {nx}")
-            else:
-                xexp, yexp = key
-                if len(xexp) != nx or len(yexp) != ny:
-                    raise ValueError(f"exponent pair {key} does not match ({nx}, {ny})")
+            if len(key) != width:
+                raise ValueError(f"exponent {key} has length != {width}")
             clean[key] = coeff
         self.terms = clean
 
@@ -42,7 +42,7 @@ class SparsePoly:
 
     @classmethod
     def one(cls, nx: int, ny: int | None = None) -> "SparsePoly":
-        return cls.monomial(1, (0,) * nx, (0,) * ny if ny is not None else None)
+        return cls(nx, {(0,) * (nx + (ny or 0)): 1}, ny)
 
     @classmethod
     def monomial(cls, coeff: int, xexp, yexp=None) -> "SparsePoly":
@@ -50,7 +50,7 @@ class SparsePoly:
         if yexp is None:
             return cls(len(xexp), {xexp: coeff})
         yexp = tuple(yexp)
-        return cls(len(xexp), {(xexp, yexp): coeff}, len(yexp))
+        return cls(len(xexp), {xexp + yexp: coeff}, len(yexp))
 
     def _check_compatible(self, other: "SparsePoly"):
         if self.nx != other.nx or self.ny != other.ny:
@@ -84,17 +84,13 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def _xexp(self, key):
-        return key if self.ny is None else key[0]
-
     def truncate(self, d: int) -> "SparsePoly":
         """Drop every term whose total x-degree exceeds d."""
         if d < 0:
             raise ValueError("truncation degree must be non-negative")
+        nx = self.nx
         return SparsePoly(
-            self.nx,
-            {k: c for k, c in self.terms.items() if sum(self._xexp(k)) <= d},
-            self.ny,
+            nx, {k: c for k, c in self.terms.items() if sum(k[:nx]) <= d}, self.ny
         )
 
     def truncated_mul(self, other: "SparsePoly", d) -> "SparsePoly":
@@ -107,25 +103,20 @@ class SparsePoly:
         if d < 0:
             raise ValueError("truncation degree must be non-negative")
         self._check_compatible(other)
+        nx = self.nx
         groups: dict[int, list] = {}
         for key, coeff in other.terms.items():
-            groups.setdefault(sum(self._xexp(key)), []).append((key, coeff))
+            groups.setdefault(sum(key[:nx]), []).append((key, coeff))
         terms: dict = {}
         for k1, c1 in self.terms.items():
-            room = d - sum(self._xexp(k1))
+            room = d - sum(k1[:nx])
             for degree, group in groups.items():
                 if degree > room:
                     continue
                 for k2, c2 in group:
-                    if self.ny is None:
-                        key = tuple(map(add, k1, k2))
-                    else:
-                        key = (
-                            tuple(map(add, k1[0], k2[0])),
-                            tuple(map(add, k1[1], k2[1])),
-                        )
+                    key = tuple(map(add, k1, k2))
                     terms[key] = terms.get(key, 0) + c1 * c2
-        return SparsePoly(self.nx, terms, self.ny)
+        return SparsePoly(nx, terms, self.ny)
 
     def s_action(self, i: int) -> "SparsePoly":
         """Swap the x-exponents at positions i and i+1 in every term."""
@@ -137,41 +128,38 @@ class SparsePoly:
             e[i - 1], e[i] = e[i], e[i - 1]
             return tuple(e)
 
-        if self.ny is None:
-            terms = {swap(k): c for k, c in self.terms.items()}
-        else:
-            terms = {(swap(k[0]), k[1]): c for k, c in self.terms.items()}
-        return SparsePoly(self.nx, terms, self.ny)
+        return SparsePoly(
+            self.nx, {swap(k): c for k, c in self.terms.items()}, self.ny
+        )
 
     def swap_alphabets(self) -> "SparsePoly":
         """Exchange the roles of x and y (two-alphabet polynomials only)."""
         if self.ny is None:
             raise ValueError("single-alphabet polynomial has nothing to swap")
+        nx = self.nx
         return SparsePoly(
-            self.ny, {(y, x): c for (x, y), c in self.terms.items()}, self.nx
+            self.ny, {k[nx:] + k[:nx]: c for k, c in self.terms.items()}, nx
         )
 
     def sorted_terms(self):
-        """Terms in graded lexicographic order of the exponents."""
-        if self.ny is None:
-            key = lambda kv: (sum(kv[0]), kv[0])
-        else:
-            key = lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1])
-        return sorted(self.terms.items(), key=key)
+        """Terms by x-degree, then lexicographically by the flat key.
+
+        Every x part has length nx, so this is the order (|x|, x, y).
+        """
+        nx = self.nx
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0][:nx]), kv[0]))
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        nx = self.nx
         chunks = []
         for key, coeff in self.sorted_terms():
-            if self.ny is None:
-                xexp, yexp = key, None
-            else:
-                xexp, yexp = key
+            xexp, yexp = key[:nx], key[nx:]
             body = ""
             if any(xexp):
                 body += "x^(" + ",".join(map(str, xexp)) + ")"
-            if yexp is not None and any(yexp):
+            if any(yexp):
                 body += "y^(" + ",".join(map(str, yexp)) + ")"
             mag = abs(coeff)
             if not body:
@@ -189,12 +177,13 @@ class SparsePoly:
     __repr__ = __str__
 
     def to_json(self) -> list[dict]:
+        nx = self.nx
         out = []
         for key, coeff in self.sorted_terms():
-            if self.ny is None:
-                out.append({"coeff": coeff, "x_exp": list(key)})
-            else:
-                out.append({"coeff": coeff, "x_exp": list(key[0]), "y_exp": list(key[1])})
+            item = {"coeff": coeff, "x_exp": list(key[:nx])}
+            if self.ny is not None:
+                item["y_exp"] = list(key[nx:])
+            out.append(item)
         return out
 
 
@@ -214,21 +203,19 @@ def poly_sum(parts, nx: int, ny: int | None = None) -> SparsePoly:
 def poly_from_json(data) -> SparsePoly:
     """Rebuild a polynomial from its JSON term list; the first term fixes the arity."""
     terms = {}
-    nx = ny = None
+    arity = None
     for item in data:
         xexp = tuple(item["x_exp"])
-        if nx is None:
-            nx = len(xexp)
-        if "y_exp" in item:
-            yexp = tuple(item["y_exp"])
-            if ny is None:
-                ny = len(yexp)
-            terms[(xexp, yexp)] = item["coeff"]
-        else:
-            terms[xexp] = item["coeff"]
-    if nx is None:
+        yexp = tuple(item["y_exp"]) if "y_exp" in item else None
+        shape = (len(xexp), None if yexp is None else len(yexp))
+        if arity is None:
+            arity = shape
+        elif shape != arity:
+            raise ValueError(f"term {item} does not match arity {arity}")
+        terms[xexp + (yexp or ())] = item["coeff"]
+    if arity is None:
         raise ValueError("cannot infer arity from an empty term list")
-    return SparsePoly(nx, terms, ny)
+    return SparsePoly(arity[0], terms, arity[1])
 
 
 def pair_product(px: SparsePoly, py: SparsePoly) -> SparsePoly:
@@ -238,5 +225,5 @@ def pair_product(px: SparsePoly, py: SparsePoly) -> SparsePoly:
     terms = {}
     for xexp, cx in px.terms.items():
         for yexp, cy in py.terms.items():
-            terms[(xexp, yexp)] = cx * cy
+            terms[xexp + yexp] = cx * cy
     return SparsePoly(px.nx, terms, py.nx)

@@ -20,7 +20,7 @@ def composition(entries) -> Composition:
     comp = tuple(entries)
     for e in comp:
         if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-            raise ValueError(f"not a weak composition: {entries!r}")
+            raise ValueError(f"not a weak composition: {comp!r}")
     return comp
 
 
@@ -33,7 +33,7 @@ def partition(entries) -> Composition:
     """Coerce to a partition, i.e. a weakly decreasing composition."""
     lam = composition(entries)
     if not is_partition(lam):
-        raise ValueError(f"not weakly decreasing: {entries!r}")
+        raise ValueError(f"not weakly decreasing: {lam!r}")
     return lam
 
 

@@ -372,6 +372,24 @@ def test_python_dash_m_runs_the_cli(module):
     assert done.stdout == "1\n"
 
 
+def test_bad_composition_error_names_the_entries_reproducibly():
+    # separate processes, so an object address in the message would differ
+    src = str(Path(skyline.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "skyline", "keypoly", "--alpha", "1,-2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        for _ in range(2)
+    ]
+    assert [(r.returncode, r.stdout) for r in runs] == [(2, ""), (2, "")]
+    assert "(1, -2)" in runs[0].stderr
+    assert "generator" not in runs[0].stderr
+    assert runs[0].stderr == runs[1].stderr
+
+
 def test_reproducible_bytes():
     for argv in (
         ["keypoly", "--alpha", "0,2,1"],

@@ -4,12 +4,20 @@ import pytest
 
 import skyline.crystal
 import skyline.permutations
+import skyline.polynomials
 import skyline.shapes
 import skyline.tableaux
 
 
 @pytest.mark.parametrize(
-    "module", [skyline.shapes, skyline.permutations, skyline.tableaux, skyline.crystal]
+    "module",
+    [
+        skyline.shapes,
+        skyline.permutations,
+        skyline.polynomials,
+        skyline.tableaux,
+        skyline.crystal,
+    ],
 )
 def test_doctests(module):
     result = doctest.testmod(module)

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from skyline import kernel
 from skyline.correspondences import from_multiset, phi
 from skyline.demazure import atom, key_polynomial, schur_polynomial
 from skyline.kernel import (
@@ -35,7 +36,7 @@ def _lhs_by_cells(inst: KernelInstance, d: int) -> SparsePoly:
             yexp = [0] * inst.m
             xexp[i - 1] = t
             yexp[j - 1] = t
-            series_terms[(tuple(xexp), tuple(yexp))] = 1
+            series_terms[tuple(xexp + yexp)] = 1
         series = SparsePoly(inst.k, series_terms, inst.m)
         total = (total * series).truncate(d)
     return total
@@ -120,9 +121,9 @@ def test_kernel_lhs_single_cell_geometric():
     inst = KernelInstance(1, 1, 1)  # shape (1)
     lhs = kernel_lhs(inst, 2)
     assert lhs.terms == {
-        ((0,), (0,)): 1,
-        ((1,), (1,)): 1,
-        ((2,), (2,)): 1,
+        (0, 0): 1,
+        (1, 1): 1,
+        (2, 2): 1,
     }
 
 
@@ -180,6 +181,32 @@ def test_verify_expansion_report_on_mismatch():
     report = ExpansionReport(1, 1, 1, 2, lhs, rhs, False, ((1,), (1,), 1, 2))
     assert "MISMATCH" in report.summary()
     assert report.to_json()["first_diff"]["lhs_coeff"] == 1
+
+
+def test_verify_expansion_names_the_graded_least_real_mismatch(monkeypatch):
+    # k=2 rows, m=3 columns; the lhs has x_1 y_1 with coefficient 1
+    inst = KernelInstance(3, 3, 2)
+    true_rhs = kernel.kernel_rhs
+    shared = SparsePoly.monomial(3, (1, 0), (1, 0, 0))  # coefficient 1 -> 4
+    rhs_only = SparsePoly.monomial(5, (1, 0), (2, 0, 0))  # larger y, same x
+    higher = SparsePoly.monomial(7, (0, 2), (0, 0, 0))  # x lex-smaller, degree 2
+
+    def report_with(extra):
+        monkeypatch.setattr(kernel, "kernel_rhs", lambda i, d: true_rhs(i, d) + extra)
+        return verify_expansion(inst, 3)
+
+    report = report_with(shared + rhs_only + higher)
+    assert not report.equal
+    assert report.first_diff == ((1, 0), (1, 0, 0), 1, 4)
+    assert report.summary() == (
+        "kernel n=3 m=3 k=2 deg=3: "
+        "MISMATCH at x^(1, 0) y^(1, 0, 0): lhs has 1, rhs has 4"
+    )
+    assert report.to_json()["first_diff"] == {
+        "x_exp": [1, 0], "y_exp": [1, 0, 0], "lhs_coeff": 1, "rhs_coeff": 4
+    }
+    assert report_with(rhs_only + higher).first_diff == ((1, 0), (2, 0, 0), 0, 5)
+    assert report_with(higher).first_diff == ((0, 2), (0, 0, 0), 0, 7)
 
 
 def test_rectangle_matches_classical_cauchy():

@@ -13,10 +13,7 @@ def poly_strategy(nx=3, max_terms=5, max_exp=4):
 
 
 def pair_strategy(nx=2, ny=3, max_terms=5, max_exp=3):
-    exps = st.tuples(
-        st.tuples(*([st.integers(0, max_exp)] * nx)),
-        st.tuples(*([st.integers(0, max_exp)] * ny)),
-    )
+    exps = st.tuples(*([st.integers(0, max_exp)] * (nx + ny)))
     return st.dictionaries(exps, st.integers(-9, 9), max_size=max_terms).map(
         lambda terms: SparsePoly(nx, terms, ny)
     )
@@ -42,7 +39,7 @@ def test_product_examples():
     square = (x1 + x2) * (x1 + x2)
     assert square.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
     xy = pair_product(x1, SparsePoly.monomial(1, (1, 0, 0)))
-    assert xy.terms == {((1, 0), (1, 0, 0)): 1}
+    assert xy.terms == {(1, 0, 1, 0, 0): 1}
     assert xy.nx == 2 and xy.ny == 3
 
 
@@ -51,6 +48,10 @@ def test_arity_mismatch():
         SparsePoly.monomial(1, (1, 0)) + SparsePoly.monomial(1, (1, 0, 0))
     with pytest.raises(ValueError):
         SparsePoly(2, {(1, 0, 0): 1})
+    assert SparsePoly(2, {(1, 0, 0, 1, 2): 1}, 3).terms == {(1, 0, 0, 1, 2): 1}
+    for key in [(1, 0, 0, 1), (1, 0, 0, 1, 2, 0), (1, 0), ((1, 0), (0, 1, 2))]:
+        with pytest.raises(ValueError):
+            SparsePoly(2, {key: 1}, 3)
 
 
 @given(poly_strategy(), poly_strategy(), poly_strategy())
@@ -130,7 +131,7 @@ def test_s_action_involution(p, i):
 def test_swap_alphabets():
     p = pair_product(SparsePoly.monomial(2, (1, 0)), SparsePoly.monomial(1, (0, 3)))
     q = p.swap_alphabets()
-    assert q.terms == {((0, 3), (1, 0)): 2}
+    assert q.terms == {(0, 3, 1, 0): 2}
     with pytest.raises(ValueError):
         SparsePoly.monomial(1, (1,)).swap_alphabets()
 
@@ -158,3 +159,14 @@ def test_json_roundtrip():
     assert poly_from_json(two.to_json()) == two
     with pytest.raises(ValueError):
         poly_from_json([])
+
+
+def test_poly_from_json_rejects_terms_of_another_arity():
+    first = {"coeff": 1, "x_exp": [1, 0], "y_exp": [0, 1, 2]}
+    for other in [
+        {"coeff": 1, "x_exp": [1, 0, 0], "y_exp": [1, 2]},  # same total width
+        {"coeff": 1, "x_exp": [1, 0]},
+        {"coeff": 1, "x_exp": [1, 0], "y_exp": [0, 1]},
+    ]:
+        with pytest.raises(ValueError):
+            poly_from_json([first, other])
