@@ -23,7 +23,7 @@ from .crystal import (
     f_op,
     string_decomposition,
 )
-from .demazure import atom, atom_via_ssaf, key_polynomial, key_via_ssaf, pi_op, pihat_op
+from .demazure import atom, key_polynomial, pi_op, pihat_op
 from .fillings import (
     SSAF,
     insert,
@@ -55,7 +55,6 @@ from .polynomials import SparsePoly
 from .shapes import (
     cells,
     decreasing_rearrangement,
-    orbit,
     truncated_staircase,
 )
 from .tableaux import (

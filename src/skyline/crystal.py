@@ -7,14 +7,12 @@ unmatched i while e_i lowers the leftmost unmatched i+1.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 from .fillings import psi
 from .permutations import min_coset_rep, reduced_word
-from .polynomials import SparsePoly
 from .shapes import Composition, decreasing_rearrangement, num_parts
-from .tableaux import SSYT, enumerate_ssyt, is_key, ssyt_to_json, yamanouchi
+from .tableaux import SSYT, enumerate_ssyt, ssyt_to_json, yamanouchi
 
 Cell = tuple[int, int]
 
@@ -79,9 +77,6 @@ class DemazureCrystal:
     alpha: Composition
     n: int
     vertices: frozenset[SSYT]
-
-    def weight_sum(self) -> SparsePoly:
-        return weight_sum(self.vertices, self.n)
 
 
 def _induced_graph(lam, n: int, vertices) -> CrystalGraph:
@@ -180,19 +175,6 @@ def bounded_entry_restriction(crystal: DemazureCrystal, m: int) -> frozenset[SSY
     if m > crystal.n:
         raise ValueError("entry bound exceeds the alphabet")
     return frozenset(t for t in crystal.vertices if t.max_entry() <= m)
-
-
-def weight_sum(objects, n: int) -> SparsePoly:
-    """Sum of x^content over tableaux or fillings with alphabet size n."""
-    return SparsePoly(n, Counter(obj.content() for obj in objects))
-
-
-def unique_key_tableau(tableaux) -> SSYT:
-    """The single key tableau in a collection; raises if not exactly one."""
-    keys = [t for t in tableaux if is_key(t)]
-    if len(keys) != 1:
-        raise ValueError(f"expected exactly one key tableau, found {len(keys)}")
-    return keys[0]
 
 
 _DOT_COLOURS = (

@@ -2,19 +2,13 @@
 
 The operator pi_i acts monomial by monomial through the closed telescoping
 formula; pihat_i is pi_i minus the identity.  Key polynomials and atoms are
-generated by the sorting recursions from the dominant monomial, and both
-admit an independent route through skyline fillings.
+generated by the sorting recursions from the dominant monomial.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .crystal import weight_sum
-from .fillings import enumerate_ssaf
-from .permutations import orbit_bruhat_leq
 from .polynomials import SparsePoly
-from .shapes import orbit
-from .tableaux import enumerate_ssyt
 
 
 def pi_op(i: int, f: SparsePoly) -> SparsePoly:
@@ -87,28 +81,3 @@ def atom(alpha: tuple[int, ...]) -> SparsePoly:
         return SparsePoly.monomial(1, alpha)
     swapped = alpha[:i] + (alpha[i + 1], alpha[i]) + alpha[i + 2 :]
     return pihat_op(i + 1, atom(swapped))
-
-
-def atom_via_ssaf(alpha) -> SparsePoly:
-    """Weight sum of the skyline fillings of shape exactly ``alpha``."""
-    alpha = tuple(alpha)
-    return weight_sum(enumerate_ssaf(alpha), len(alpha))
-
-
-def key_via_ssaf(alpha) -> SparsePoly:
-    """Weight sum of the skyline fillings whose shape is <= ``alpha``."""
-    alpha = tuple(alpha)
-    return weight_sum(
-        (
-            f
-            for beta in orbit(alpha)
-            if orbit_bruhat_leq(beta, alpha)
-            for f in enumerate_ssaf(beta)
-        ),
-        len(alpha),
-    )
-
-
-def schur_polynomial(lam, n: int) -> SparsePoly:
-    """Schur polynomial as the weight sum over all tableaux of the shape."""
-    return weight_sum(enumerate_ssyt(tuple(lam), n), n)

@@ -7,7 +7,6 @@ below is an inversion triple.  The shape is the vector of column heights.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -196,35 +195,6 @@ def psi_inverse(filling: SSAF) -> SSYT:
 def right_key(tab: SSYT) -> SSYT:
     """The key tableau with content the shape of the skyline image."""
     return key_tableau(psi(tab).shape)
-
-
-def enumerate_ssaf(gamma) -> list[SSAF]:
-    """All valid SSAFs of shape ``gamma``, in lexicographic column order."""
-    gamma = tuple(gamma)
-    n = len(gamma)
-
-    def column_options(j: int, height: int):
-        if height == 0:
-            return [()]
-        opts = []
-
-        def grow(prefix):
-            if len(prefix) == height:
-                opts.append(tuple(prefix))
-                return
-            for v in range(1, prefix[-1] + 1):
-                grow(prefix + [v])
-
-        grow([j + 1])
-        return opts
-
-    per_col = [column_options(j, g) for j, g in enumerate(gamma)]
-    out = []
-    for combo in itertools.product(*per_col):
-        cand = SSAF(tuple(combo))
-        if validate(cand):
-            out.append(cand)
-    return out
 
 
 def ssaf_to_json(filling: SSAF) -> dict:

@@ -118,20 +118,6 @@ class SparsePoly:
                     terms[key] = terms.get(key, 0) + c1 * c2
         return SparsePoly(nx, terms, self.ny)
 
-    def s_action(self, i: int) -> "SparsePoly":
-        """Swap the x-exponents at positions i and i+1 in every term."""
-        if not 1 <= i < self.nx:
-            raise ValueError(f"index {i} out of range for {self.nx} x-variables")
-
-        def swap(e):
-            e = list(e)
-            e[i - 1], e[i] = e[i], e[i - 1]
-            return tuple(e)
-
-        return SparsePoly(
-            self.nx, {swap(k): c for k, c in self.terms.items()}, self.ny
-        )
-
     def swap_alphabets(self) -> "SparsePoly":
         """Exchange the roles of x and y (two-alphabet polynomials only)."""
         if self.ny is None:
@@ -200,19 +186,41 @@ def poly_sum(parts, nx: int, ny: int | None = None) -> SparsePoly:
     return SparsePoly(nx, terms, ny)
 
 
+def _json_exponents(item: dict, field: str) -> tuple[int, ...]:
+    value = item[field]
+    if not isinstance(value, list) or not all(type(e) is int and e >= 0 for e in value):
+        raise ValueError(f"{field!r} must list non-negative integers, got {value!r}")
+    return tuple(value)
+
+
 def poly_from_json(data) -> SparsePoly:
-    """Rebuild a polynomial from its JSON term list; the first term fixes the arity."""
+    """Rebuild a polynomial from its JSON term list; the first term fixes the arity.
+
+    Raises ``ValueError`` on input that :meth:`SparsePoly.to_json` never
+    writes: a term that is not an object with ``coeff`` and ``x_exp``, a
+    coefficient that is not an integer, an exponent that is not a
+    non-negative integer, or the same exponent key twice.
+    """
+    if not isinstance(data, list):
+        raise ValueError(f"expected a JSON list of terms, got {type(data).__name__}")
     terms = {}
     arity = None
     for item in data:
-        xexp = tuple(item["x_exp"])
-        yexp = tuple(item["y_exp"]) if "y_exp" in item else None
+        if not isinstance(item, dict) or not {"coeff", "x_exp"} <= item.keys():
+            raise ValueError(f"term {item!r} is not an object with 'coeff' and 'x_exp'")
+        if type(item["coeff"]) is not int:
+            raise ValueError(f"coefficient {item['coeff']!r} is not an integer")
+        xexp = _json_exponents(item, "x_exp")
+        yexp = _json_exponents(item, "y_exp") if "y_exp" in item else None
         shape = (len(xexp), None if yexp is None else len(yexp))
         if arity is None:
             arity = shape
         elif shape != arity:
             raise ValueError(f"term {item} does not match arity {arity}")
-        terms[xexp + (yexp or ())] = item["coeff"]
+        key = xexp + (yexp or ())
+        if key in terms:
+            raise ValueError(f"term {item} repeats an earlier exponent key")
+        terms[key] = item["coeff"]
     if arity is None:
         raise ValueError("cannot infer arity from an empty term list")
     return SparsePoly(arity[0], terms, arity[1])

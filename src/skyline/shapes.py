@@ -1,12 +1,10 @@
-"""Weak compositions, partitions, Ferrers diagrams, and orbits.
+"""Weak compositions, partitions, Ferrers diagrams, and truncated staircases.
 
 A weak composition is a plain tuple of non-negative integers.  Length is
 significant everywhere: ``(1, 0)`` and ``(1,)`` are different objects and
 nothing in this package pads implicitly.
 """
 from __future__ import annotations
-
-import itertools
 
 Composition = tuple[int, ...]
 
@@ -78,11 +76,6 @@ def cells(lam) -> set[tuple[int, int]]:
     return {(i + 1, j + 1) for i, row in enumerate(lam) for j in range(row)}
 
 
-def orbit(lam) -> set[Composition]:
-    """All distinct rearrangements of a composition."""
-    return set(itertools.permutations(lam))
-
-
 def compositions_with_sum(total: int, length: int):
     """Yield all weak compositions of ``total`` with the given length."""
     if length == 0:
@@ -92,14 +85,3 @@ def compositions_with_sum(total: int, length: int):
     for first in range(total, -1, -1):
         for rest in compositions_with_sum(total - first, length - 1):
             yield (first,) + rest
-
-
-def composition_from_json(data) -> Composition:
-    if not isinstance(data, list):
-        raise ValueError("composition JSON must be a list of integers")
-    return composition(data)
-
-
-def partition_from_json(data) -> Composition:
-    """Decode a partition, asserting monotonicity."""
-    return partition(composition_from_json(data))

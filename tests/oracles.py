@@ -4,11 +4,13 @@ None of these is a production path: each one restates a definition
 directly, so that an agreement with the library's faster route means
 something.
 """
+import itertools
+from collections import Counter
 from functools import lru_cache
 from math import factorial
 
 from skyline.crystal import CrystalGraph, crystal_graph, demazure_crystal
-from skyline.fillings import SSAF, _basics_ok
+from skyline.fillings import SSAF, _basics_ok, validate
 from skyline.permutations import (
     Permutation,
     check_permutation,
@@ -16,8 +18,94 @@ from skyline.permutations import (
     orbit_bruhat_leq,
     reduced_word,
 )
-from skyline.shapes import decreasing_rearrangement, orbit
-from skyline.tableaux import SSYT
+from skyline.polynomials import SparsePoly
+from skyline.shapes import Composition, decreasing_rearrangement
+from skyline.tableaux import SSYT, enumerate_ssyt, is_key
+
+
+def orbit(lam) -> set[Composition]:
+    """All distinct rearrangements of a composition."""
+    return set(itertools.permutations(lam))
+
+
+def s_action(p: SparsePoly, i: int) -> SparsePoly:
+    """Swap the x-exponents at positions i and i+1 in every term of ``p``."""
+    if not 1 <= i < p.nx:
+        raise ValueError(f"index {i} out of range for {p.nx} x-variables")
+
+    def swap(e):
+        e = list(e)
+        e[i - 1], e[i] = e[i], e[i - 1]
+        return tuple(e)
+
+    return SparsePoly(p.nx, {swap(k): c for k, c in p.terms.items()}, p.ny)
+
+
+def weight_sum(objects, n: int) -> SparsePoly:
+    """Sum of x^content over tableaux or fillings with alphabet size n."""
+    return SparsePoly(n, Counter(obj.content() for obj in objects))
+
+
+def enumerate_ssaf(gamma) -> list[SSAF]:
+    """All valid SSAFs of shape ``gamma``, in lexicographic column order."""
+    gamma = tuple(gamma)
+    n = len(gamma)
+
+    def column_options(j: int, height: int):
+        if height == 0:
+            return [()]
+        opts = []
+
+        def grow(prefix):
+            if len(prefix) == height:
+                opts.append(tuple(prefix))
+                return
+            for v in range(1, prefix[-1] + 1):
+                grow(prefix + [v])
+
+        grow([j + 1])
+        return opts
+
+    per_col = [column_options(j, g) for j, g in enumerate(gamma)]
+    out = []
+    for combo in itertools.product(*per_col):
+        cand = SSAF(tuple(combo))
+        if validate(cand):
+            out.append(cand)
+    return out
+
+
+def atom_via_ssaf(alpha) -> SparsePoly:
+    """Weight sum of the skyline fillings of shape exactly ``alpha``."""
+    alpha = tuple(alpha)
+    return weight_sum(enumerate_ssaf(alpha), len(alpha))
+
+
+def key_via_ssaf(alpha) -> SparsePoly:
+    """Weight sum of the skyline fillings whose shape is <= ``alpha``."""
+    alpha = tuple(alpha)
+    return weight_sum(
+        (
+            f
+            for beta in orbit(alpha)
+            if orbit_bruhat_leq(beta, alpha)
+            for f in enumerate_ssaf(beta)
+        ),
+        len(alpha),
+    )
+
+
+def schur_polynomial(lam, n: int) -> SparsePoly:
+    """Schur polynomial as the weight sum over all tableaux of the shape."""
+    return weight_sum(enumerate_ssyt(tuple(lam), n), n)
+
+
+def unique_key_tableau(tableaux) -> SSYT:
+    """The single key tableau in a collection; raises if not exactly one."""
+    keys = [t for t in tableaux if is_key(t)]
+    if len(keys) != 1:
+        raise ValueError(f"expected exactly one key tableau, found {len(keys)}")
+    return keys[0]
 
 
 def bruhat_leq_subword(theta, sigma) -> bool:

@@ -5,7 +5,6 @@ import pytest
 from skyline.fillings import (
     SSAF,
     empty_ssaf,
-    enumerate_ssaf,
     insert,
     insert_with_chain,
     key_ssaf,
@@ -18,7 +17,12 @@ from skyline.fillings import (
 )
 from skyline.shapes import decreasing_rearrangement, num_parts
 from skyline.tableaux import enumerate_ssyt, key_tableau, yamanouchi
-from oracles import insert_by_reading_order, validate_via_orientation
+from oracles import (
+    enumerate_ssaf,
+    insert_by_reading_order,
+    orbit,
+    validate_via_orientation,
+)
 from util import partitions_up_to, small_compositions
 
 KNOWN_FILLING = SSAF(((1,), (), (3, 3, 1), (4, 2), (), (6,)))  # shape (1,0,3,2,0,1)
@@ -255,8 +259,6 @@ def test_atom_bridge_ssaf_vs_right_key():
         if len(lam) > n:
             continue
         padded = lam + (0,) * (n - len(lam))
-        from skyline.shapes import orbit
-
         tabs_by_key = {}
         for tab in enumerate_ssyt(lam, n):
             tabs_by_key.setdefault(right_key(tab).content(), []).append(tab)

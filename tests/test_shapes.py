@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from skyline.shapes import (
     cells,
     composition,
-    composition_from_json,
     compositions_with_sum,
     decreasing_rearrangement,
-    orbit,
-    partition_from_json,
     truncated_staircase,
 )
-from oracles import stabiliser_order
+from oracles import orbit, stabiliser_order
 
 comps = st.lists(st.integers(0, 4), min_size=0, max_size=5).map(tuple)
 
@@ -107,12 +104,3 @@ def test_compositions_with_sum():
     assert list(compositions_with_sum(2, 0)) == []
     got = set(compositions_with_sum(3, 2))
     assert got == {(3, 0), (2, 1), (1, 2), (0, 3)}
-
-
-def test_json_roundtrip():
-    assert composition_from_json([1, 0, 3]) == (1, 0, 3)
-    assert partition_from_json([3, 1, 0]) == (3, 1, 0)
-    with pytest.raises(ValueError):
-        partition_from_json([1, 2])
-    with pytest.raises(ValueError):
-        composition_from_json("nope")

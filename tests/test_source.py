@@ -16,3 +16,28 @@ def test_package_invariants_survive_python_dash_o():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _tree(path):
+    return ast.parse(path.read_text())
+
+
+def _defined_names(path):
+    return {
+        node.name
+        for node in _tree(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def test_demazure_depends_on_polynomials_alone_and_oracles_stay_in_tests():
+    package = Path(skyline.__file__).parent
+    siblings = {
+        node.module
+        for node in ast.walk(_tree(package / "demazure.py"))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    assert siblings == {"polynomials"}
+    oracles = _defined_names(Path(__file__).parent / "oracles.py")
+    in_package = set().union(*(_defined_names(path) for path in SOURCES))
+    assert oracles & in_package == set()
