@@ -36,21 +36,11 @@ from .fillings import (
 from .kernel import (
     KernelInstance,
     alpha_vector,
-    alpha_via_sorting,
     kernel_lhs,
     kernel_rhs,
-    sigma_nw_word,
-    sigma_se_word,
     verify_expansion,
 )
-from .permutations import (
-    ReducedWord,
-    apply_word,
-    bubble_sort_op,
-    min_coset_rep,
-    orbit_bruhat_leq,
-    tableau_criterion_leq,
-)
+from .permutations import orbit_bruhat_leq
 from .polynomials import SparsePoly
 from .shapes import (
     cells,

@@ -9,10 +9,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .demazure import sorting_step
 from .fillings import psi
-from .permutations import min_coset_rep, reduced_word
 from .shapes import Composition, decreasing_rearrangement, num_parts
-from .tableaux import SSYT, enumerate_ssyt, ssyt_to_json, yamanouchi
+from .tableaux import SSYT, enumerate_ssyt, key_tableau, ssyt_to_json
 
 Cell = tuple[int, int]
 
@@ -121,20 +121,26 @@ def _saturate_heads(current: set[SSYT], i: int) -> set[SSYT]:
 
 
 def demazure_crystal(alpha, n: int) -> DemazureCrystal:
-    """Saturate string heads along a reduced word for the coset minimum.
+    """The recursion of the key polynomial, with string saturation as pi_i.
 
-    Independent of the chosen word; for a partition this is the single
-    highest-weight tableau, and the reversed partition fills the graph.
+    For a weakly decreasing ``alpha`` this is the single highest-weight
+    tableau, its key tableau; otherwise it is the crystal of the sorting
+    step's swapped composition with the heads of its i-strings saturated.
+    The reversed partition fills the graph.  The recursion is unrolled, so
+    a long sorting chain does not reach Python's recursion limit.
     """
     alpha = tuple(alpha)
     if len(alpha) != n:
         raise ValueError(f"composition length {len(alpha)} != n = {n}")
-    lam = decreasing_rearrangement(alpha)
-    word = reduced_word(min_coset_rep(alpha))
-    current = {yamanouchi(lam, n)}
-    for i in reversed(word):
-        current = _saturate_heads(current, i)
-    return DemazureCrystal(alpha, n, frozenset(current))
+    indices = []
+    dominant = alpha
+    while (step := sorting_step(dominant)) is not None:
+        i, dominant = step
+        indices.append(i)
+    vertices = {key_tableau(dominant)}
+    for i in reversed(indices):
+        vertices = _saturate_heads(vertices, i)
+    return DemazureCrystal(alpha, n, frozenset(vertices))
 
 
 def demazure_graph(alpha, n: int) -> CrystalGraph:

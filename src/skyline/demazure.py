@@ -51,10 +51,17 @@ def apply_op_word(word, f: SparsePoly) -> SparsePoly:
     return f
 
 
-def _first_ascent(alpha) -> int | None:
-    for i in range(len(alpha) - 1):
-        if alpha[i] < alpha[i + 1]:
-            return i
+def sorting_step(alpha) -> tuple[int, tuple[int, ...]] | None:
+    """The first ascent ``alpha_i < alpha_{i+1}`` (1-based ``i``) and ``alpha``
+    with entries i, i+1 swapped; None when ``alpha`` is weakly decreasing.
+
+    The object indexed by ``alpha`` is operator i applied to the object
+    indexed by the swapped composition.
+    """
+    for i in range(1, len(alpha)):
+        a, b = alpha[i - 1], alpha[i]
+        if a < b:
+            return i, alpha[: i - 1] + (b, a) + alpha[i + 1 :]
     return None
 
 
@@ -65,19 +72,19 @@ def key_polynomial(alpha: tuple[int, ...]) -> SparsePoly:
     The alphabet size equals len(alpha); callers pad with zeros themselves.
     """
     alpha = tuple(alpha)
-    i = _first_ascent(alpha)
-    if i is None:
+    step = sorting_step(alpha)
+    if step is None:
         return SparsePoly.monomial(1, alpha)
-    swapped = alpha[:i] + (alpha[i + 1], alpha[i]) + alpha[i + 2 :]
-    return pi_op(i + 1, key_polynomial(swapped))
+    i, swapped = step
+    return pi_op(i, key_polynomial(swapped))
 
 
 @lru_cache(maxsize=None)
 def atom(alpha: tuple[int, ...]) -> SparsePoly:
     """Demazure atom: the same recursion with the complementary operator."""
     alpha = tuple(alpha)
-    i = _first_ascent(alpha)
-    if i is None:
+    step = sorting_step(alpha)
+    if step is None:
         return SparsePoly.monomial(1, alpha)
-    swapped = alpha[:i] + (alpha[i + 1], alpha[i]) + alpha[i + 2 :]
-    return pihat_op(i + 1, atom(swapped))
+    i, swapped = step
+    return pihat_op(i, atom(swapped))

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .demazure import atom, key_polynomial
-from .permutations import ReducedWord, apply_word
 from .polynomials import SparsePoly, pair_product, poly_sum
 from .shapes import (
     Composition,
@@ -47,30 +46,6 @@ class KernelInstance:
         return KernelInstance(self.n, self.k, self.m)
 
 
-def sigma_se_word(n: int, m: int, k: int) -> ReducedWord:
-    """Reduced word read off the south-east skew cells, rows top to bottom.
-
-    Defined for k <= m; the factors may be empty.
-    """
-    inst = KernelInstance(n, m, k)
-    if not k <= m:
-        raise ValueError(f"south-east word needs k <= m, got k={k}, m={m}")
-    word: list[int] = []
-    for i in range(1, k - (n - m)):
-        word.extend(range(i + n - k - 1, i - 1, -1))
-    for i in range(0, n - m + 1):
-        word.extend(range(m - 1, k - (n - m) + i - 1, -1))
-    return ReducedWord(tuple(word), inst.n)
-
-
-def sigma_nw_word(n: int, m: int, k: int) -> ReducedWord:
-    """North-west word: the south-east word of the conjugate shape."""
-    KernelInstance(n, m, k)
-    if not m <= k:
-        raise ValueError(f"north-west word needs m <= k, got m={m}, k={k}")
-    return sigma_se_word(n, k, m)
-
-
 def alpha_vector(mu, n: int, m: int, k: int) -> Composition:
     """Character index for the atom index ``mu`` (orientation k <= m).
 
@@ -95,20 +70,6 @@ def alpha_vector(mu, n: int, m: int, k: int) -> Composition:
         alpha[i - 1] = best
         del remaining[pos]
     return tuple(alpha)
-
-
-def alpha_via_sorting(mu, n: int, m: int, k: int) -> Composition:
-    """Bubble-sort the padded reversed ``mu`` along the south-east word.
-
-    Returns the full length-n composition, which the expansion theorem
-    asserts to be zeros, then the alpha vector, then zeros.
-    """
-    word = sigma_se_word(n, m, k).word
-    mu = tuple(mu)
-    if len(mu) != k:
-        raise ValueError(f"mu must have length k={k}")
-    start = reverse(mu) + (0,) * (n - k)
-    return apply_word(tuple(i for i in word if i < m), start)
 
 
 @dataclass(frozen=True)

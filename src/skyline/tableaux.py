@@ -147,23 +147,17 @@ def evacuation(tab: SSYT) -> SSYT:
     return insert_word(word, n)
 
 
-def _shape_within(lam, n: int) -> Composition:
-    """``lam`` without trailing zeros, if it is a partition with at most n rows."""
+def enumerate_ssyt(lam, n: int):
+    """Every SSYT of shape ``lam`` with entries <= n.
+
+    A generator: each call yields the same sequence, in no promised order.
+    """
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError(f"not a partition: {lam!r}")
     lam = lam[: num_parts(lam)]
     if len(lam) > n:
         raise ValueError(f"shape {lam} has more than n={n} rows")
-    return lam
-
-
-def enumerate_ssyt(lam, n: int):
-    """Every SSYT of shape ``lam`` with entries <= n.
-
-    A generator: each call yields the same sequence, in no promised order.
-    """
-    lam = _shape_within(lam, n)
 
     rows: list[list[int]] = [[] for _ in lam]
 
@@ -185,12 +179,6 @@ def enumerate_ssyt(lam, n: int):
             rows[r].pop()
 
     yield from fill(0, 0)
-
-
-def yamanouchi(lam, n: int) -> SSYT:
-    """The key tableau of a partition: row i filled with the letter i."""
-    lam = _shape_within(lam, n)
-    return SSYT(tuple(tuple([r + 1] * ln) for r, ln in enumerate(lam)), n)
 
 
 def ssyt_to_json(tab: SSYT) -> dict:

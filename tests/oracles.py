@@ -9,18 +9,216 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial
 
-from skyline.crystal import CrystalGraph, crystal_graph, demazure_crystal
-from skyline.fillings import SSAF, _basics_ok, validate
-from skyline.permutations import (
-    Permutation,
-    check_permutation,
-    length,
-    orbit_bruhat_leq,
-    reduced_word,
+from skyline.crystal import (
+    CrystalGraph,
+    _saturate_heads,
+    crystal_graph,
+    demazure_crystal,
 )
+from skyline.fillings import SSAF, _basics_ok, validate
+from skyline.kernel import KernelInstance
+from skyline.permutations import orbit_bruhat_leq
 from skyline.polynomials import SparsePoly
-from skyline.shapes import Composition, decreasing_rearrangement
-from skyline.tableaux import SSYT, enumerate_ssyt, is_key
+from skyline.shapes import Composition, decreasing_rearrangement, reverse
+from skyline.tableaux import SSYT, enumerate_ssyt, is_key, key_columns, key_tableau
+
+# Permutations are tuples in one-line notation with values 1..n.  A
+# permutation acts on a composition by moving the entry at position i to
+# position w(i), so that acting on the decreasing rearrangement recovers any
+# orbit element.
+Permutation = tuple[int, ...]
+
+
+def check_permutation(w) -> Permutation:
+    w = tuple(w)
+    if sorted(w) != list(range(1, len(w) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(w)}: {w!r}")
+    return w
+
+
+def identity(n: int) -> Permutation:
+    return tuple(range(1, n + 1))
+
+
+def longest(n: int) -> Permutation:
+    """The order-reversing permutation, maximal in Bruhat order."""
+    return tuple(range(n, 0, -1))
+
+
+def length(w) -> int:
+    """Number of inversions, which equals the reduced-word length."""
+    return sum(
+        1
+        for i in range(len(w))
+        for j in range(i + 1, len(w))
+        if w[i] > w[j]
+    )
+
+
+def compose(u, v) -> Permutation:
+    """(u o v)(i) = u(v(i))."""
+    if len(u) != len(v):
+        raise ValueError("size mismatch")
+    return tuple(u[v[i] - 1] for i in range(len(v)))
+
+
+def simple(n: int, i: int) -> Permutation:
+    """The adjacent transposition swapping i and i+1."""
+    if not 1 <= i < n:
+        raise ValueError(f"simple transposition index {i} out of range for n={n}")
+    w = list(range(1, n + 1))
+    w[i - 1], w[i] = w[i], w[i - 1]
+    return tuple(w)
+
+
+def act(w, gamma) -> Composition:
+    """Position action on compositions: the entry at i moves to w(i)."""
+    if len(w) != len(gamma):
+        raise ValueError("size mismatch")
+    out = [0] * len(w)
+    for i, wi in enumerate(w):
+        out[wi - 1] = gamma[i]
+    return tuple(out)
+
+
+def from_word(n: int, word) -> Permutation:
+    """Product of simple transpositions, rightmost index applied first."""
+    w = identity(n)
+    for i in word:
+        w = compose(w, simple(n, i))
+    return w
+
+
+def is_reduced(word, n: int) -> bool:
+    """True when the product of ``word`` in S_n has length len(word)."""
+    return length(from_word(n, word)) == len(word)
+
+
+def reduced_word(w) -> tuple[int, ...]:
+    """A reduced word for w by repeatedly stripping the leftmost descent."""
+    w = check_permutation(w)
+    v = list(w)
+    picked = []
+    while True:
+        i = next((i for i in range(len(v) - 1) if v[i] > v[i + 1]), None)
+        if i is None:
+            break
+        v[i], v[i + 1] = v[i + 1], v[i]
+        picked.append(i + 1)
+    return tuple(reversed(picked))
+
+
+def all_reduced_words(w, n: int) -> list[tuple[int, ...]]:
+    """Every reduced word of w in S_n, by growing reduced prefixes."""
+    target = length(w)
+    out = []
+
+    def grow(prefix):
+        if len(prefix) == target:
+            if from_word(n, prefix) == w:
+                out.append(tuple(prefix))
+            return
+        for i in range(1, n):
+            cand = prefix + [i]
+            if is_reduced(cand, n):
+                grow(cand)
+
+    grow([])
+    return out
+
+
+def tableau_criterion_leq(sigma, beta) -> bool:
+    """Strong Bruhat order: compare the two permutations' staircase keys."""
+    sigma, beta = check_permutation(sigma), check_permutation(beta)
+    staircase = longest(len(sigma))
+    return orbit_bruhat_leq(act(sigma, staircase), act(beta, staircase))
+
+
+def min_coset_rep(gamma) -> Permutation:
+    """The shortest permutation sending the sorted composition to ``gamma``.
+
+    Built by reading the new elements of the key tableau's columns from the
+    rightmost column to the first, each batch in increasing order, after
+    prepending the full column when ``gamma`` has a zero entry.
+    """
+    gamma = tuple(gamma)
+    cols = key_columns(gamma)
+    if 0 in gamma or not cols:
+        cols.insert(0, tuple(range(1, len(gamma) + 1)))
+    seen: set[int] = set()
+    word: list[int] = []
+    for col in reversed(cols):
+        word.extend(sorted(set(col) - seen))
+        seen.update(col)
+    return check_permutation(word)
+
+
+def bubble_sort_op(i: int, gamma) -> Composition:
+    """Sort positions i, i+1 into weakly increasing order."""
+    gamma = tuple(gamma)
+    if not 1 <= i < len(gamma):
+        raise ValueError(f"index {i} out of range for length {len(gamma)}")
+    if gamma[i - 1] > gamma[i]:
+        gamma = gamma[: i - 1] + (gamma[i], gamma[i - 1]) + gamma[i + 1 :]
+    return gamma
+
+
+def apply_word(word, gamma) -> Composition:
+    """Compose bubble sorts in operator order: rightmost index acts first."""
+    gamma = tuple(gamma)
+    for i in reversed(tuple(word)):
+        gamma = bubble_sort_op(i, gamma)
+    return gamma
+
+
+def sigma_se_word(n: int, m: int, k: int) -> tuple[int, ...]:
+    """Word read off the south-east skew cells, rows top to bottom.
+
+    Defined for k <= m; the factors may be empty.
+    """
+    KernelInstance(n, m, k)
+    if not k <= m:
+        raise ValueError(f"south-east word needs k <= m, got k={k}, m={m}")
+    word: list[int] = []
+    for i in range(1, k - (n - m)):
+        word.extend(range(i + n - k - 1, i - 1, -1))
+    for i in range(0, n - m + 1):
+        word.extend(range(m - 1, k - (n - m) + i - 1, -1))
+    return tuple(word)
+
+
+def sigma_nw_word(n: int, m: int, k: int) -> tuple[int, ...]:
+    """North-west word: the south-east word of the conjugate shape."""
+    KernelInstance(n, m, k)
+    if not m <= k:
+        raise ValueError(f"north-west word needs m <= k, got m={m}, k={k}")
+    return sigma_se_word(n, k, m)
+
+
+def alpha_via_sorting(mu, n: int, m: int, k: int) -> Composition:
+    """Bubble-sort the padded reversed ``mu`` along the south-east word.
+
+    Returns the full length-n composition, which the expansion theorem
+    asserts to be zeros, then the alpha vector, then zeros.
+    """
+    word = sigma_se_word(n, m, k)
+    mu = tuple(mu)
+    if len(mu) != k:
+        raise ValueError(f"mu must have length k={k}")
+    start = reverse(mu) + (0,) * (n - k)
+    return apply_word(tuple(i for i in word if i < m), start)
+
+
+def demazure_vertices_along(word, alpha) -> frozenset[SSYT]:
+    """Saturate string heads from the dominant key tableau along ``word``.
+
+    The rightmost letter acts first; a reduced word of ``min_coset_rep(alpha)``
+    gives the Demazure crystal of ``alpha``.
+    """
+    current = {key_tableau(decreasing_rearrangement(alpha))}
+    for i in reversed(word):
+        current = _saturate_heads(current, i)
+    return frozenset(current)
 
 
 def orbit(lam) -> set[Composition]:

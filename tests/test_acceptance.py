@@ -3,7 +3,6 @@
 Each test prints a single pass line with its elapsed time; run with
 ``pytest -s tests/test_acceptance.py`` to see them.
 """
-import itertools
 import random
 import time
 
@@ -12,11 +11,18 @@ from skyline.crystal import atom_set, bounded_entry_restriction, demazure_crysta
 from skyline.demazure import atom, key_polynomial, pi_op, pihat_op
 from skyline.fillings import SSAF, insert_with_chain, psi, psi_inverse, right_key
 from skyline.kernel import KernelInstance, alpha_vector, verify_expansion
-from skyline.permutations import min_coset_rep, orbit_bruhat_leq
+from skyline.permutations import orbit_bruhat_leq
 from skyline.polynomials import SparsePoly, pair_product
 from skyline.shapes import reverse
 from skyline.tableaux import SSYT, enumerate_ssyt, key_tableau
-from oracles import atom_via_ssaf, key_via_ssaf, orbit, schur_polynomial, weight_sum
+from oracles import (
+    atom_via_ssaf,
+    key_via_ssaf,
+    min_coset_rep,
+    orbit,
+    schur_polynomial,
+    weight_sum,
+)
 from util import biword_multisets, partitions_up_to
 
 

@@ -23,9 +23,9 @@ from skyline.correspondences import (
     rsk_commutes_check,
     swap_rows,
 )
-from skyline.fillings import SSAF, empty_ssaf, psi, validate
+from skyline.fillings import SSAF, empty_ssaf, validate
 from skyline.permutations import orbit_bruhat_leq
-from skyline.shapes import decreasing_rearrangement, reverse
+from skyline.shapes import reverse
 from util import biword_multisets
 
 W1 = parse_biword("4 6 6 7 / 4 1 2 1")

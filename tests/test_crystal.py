@@ -18,24 +18,30 @@ from skyline.fillings import right_key
 from skyline.permutations import orbit_bruhat_leq
 from skyline.polynomials import SparsePoly
 from skyline.shapes import reverse
-from skyline.tableaux import enumerate_ssyt, key_tableau, yamanouchi
+from skyline.tableaux import SSYT, enumerate_ssyt, key_tableau
 from oracles import (
+    all_reduced_words,
     atom_set_by_subtraction,
     demazure_graph_by_filtering,
+    demazure_vertices_along,
+    min_coset_rep,
     orbit,
+    reduced_word,
     unique_key_tableau,
     weight_sum,
 )
-from util import partitions_up_to
+from util import partitions_up_to, small_compositions
+
+# the highest-weight tableau of B(3, 1) over [3]: row i holds the letter i
+YAM_31 = SSYT(((1, 1, 1), (2,)), 3)
 
 
 def test_f_op_on_yamanouchi():
-    yam = yamanouchi((3, 1), 3)
-    out = f_op(1, yam)
+    out = f_op(1, YAM_31)
     assert out is not None and out.content() == (2, 2, 0)
-    assert e_op(1, out) == yam
-    assert f_op(2, yamanouchi((3,), 3)) is None  # no letter 2 to raise
-    assert e_op(1, yam) is None and e_op(2, yam) is None
+    assert e_op(1, out) == YAM_31
+    assert f_op(2, SSYT(((1, 1, 1),), 3)) is None  # no letter 2 to raise
+    assert e_op(1, YAM_31) is None and e_op(2, YAM_31) is None
 
 
 def test_f_e_roundtrip_shape21():
@@ -81,7 +87,7 @@ def test_crystal_graph_sizes_and_degrees():
 
 def test_crystal_graph_connected_from_highest_weight():
     g = crystal_graph((3, 1), 3)
-    reached = {yamanouchi((3, 1), 3)}
+    reached = {YAM_31}
     frontier = list(reached)
     adj = {}
     for src, _, dst in g.edges:
@@ -97,7 +103,7 @@ def test_crystal_graph_connected_from_highest_weight():
 
 def test_demazure_crystal_examples():
     lam = (3, 1, 0)
-    assert demazure_crystal(lam, 3).vertices == frozenset({yamanouchi((3, 1), 3)})
+    assert demazure_crystal(lam, 3).vertices == frozenset({YAM_31})
     b = demazure_crystal((1, 0, 3), 3)
     assert len(b.vertices) == 9
     assert weight_sum(b.vertices, b.n) == key_polynomial((1, 0, 3))
@@ -126,39 +132,25 @@ def test_demazure_crystal_monotone_and_union():
 
 
 def test_demazure_crystal_same_along_any_reduced_word():
-    from skyline.crystal import DemazureCrystal, _saturate_heads
-    from skyline.permutations import from_word, length, min_coset_rep
-    from skyline.shapes import decreasing_rearrangement
-
-    def all_reduced_words(w, n):
-        target = length(w)
-        out = []
-
-        def grow(prefix):
-            if len(prefix) == target:
-                if from_word(n, prefix) == w:
-                    out.append(tuple(prefix))
-                return
-            for i in range(1, n):
-                cand = prefix + [i]
-                if length(from_word(n, cand)) == len(cand):
-                    grow(cand)
-
-        grow([])
-        return out
-
     for lam in [(2, 1, 0), (3, 1, 0)]:
         n = 3
         for alpha in orbit(lam):
-            w = min_coset_rep(alpha)
-            results = set()
-            for word in all_reduced_words(w, n):
-                current = {yamanouchi(decreasing_rearrangement(alpha), n)}
-                for i in reversed(word):
-                    current = _saturate_heads(current, i)
-                results.add(frozenset(current))
+            words = all_reduced_words(min_coset_rep(alpha), n)
+            results = {demazure_vertices_along(word, alpha) for word in words}
             assert len(results) == 1
             assert results.pop() == demazure_crystal(alpha, n).vertices
+
+
+def test_demazure_crystal_matches_the_coset_word_route():
+    checked = 0
+    for alpha in small_compositions(5, 3):
+        if sum(alpha) > 8:
+            continue
+        word = reduced_word(min_coset_rep(alpha))
+        expected = demazure_vertices_along(word, alpha)
+        assert demazure_crystal(alpha, len(alpha)).vertices == expected
+        checked += 1
+    assert checked == 972
 
 
 def test_triple_route_weight_sums():
@@ -174,7 +166,7 @@ def test_triple_route_weight_sums():
 
 def test_atom_set_examples():
     lam = (3, 1, 0)
-    assert atom_set(lam, 3) == frozenset({yamanouchi((3, 1), 3)})
+    assert atom_set(lam, 3) == frozenset({YAM_31})
     a = atom_set((1, 0, 3), 3)
     assert len(a) == 5
     assert unique_key_tableau(a) == key_tableau((1, 0, 3))
@@ -244,8 +236,7 @@ def test_string_decomposition():
             # the operator sends the head monomial to the string weight sum
             head = SparsePoly.monomial(1, s[0].content())
             assert apply_op_word((colour,), head) == weight_sum(s, 3)
-    yam = yamanouchi((3, 1), 3)
-    assert all(s[0] == yam for s in string_decomposition(g, 1) if yam in s)
+    assert all(s[0] == YAM_31 for s in string_decomposition(g, 1) if YAM_31 in s)
 
 
 def test_string_trichotomy():

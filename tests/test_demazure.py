@@ -3,10 +3,19 @@ import random
 import pytest
 
 from skyline.demazure import apply_op_word, atom, key_polynomial, pi_op, pihat_op
-from skyline.permutations import min_coset_rep, orbit_bruhat_leq, reduced_word
+from skyline.permutations import orbit_bruhat_leq
 from skyline.polynomials import SparsePoly
 from skyline.shapes import decreasing_rearrangement
-from oracles import atom_via_ssaf, key_via_ssaf, orbit, s_action, schur_polynomial
+from oracles import (
+    all_reduced_words,
+    atom_via_ssaf,
+    key_via_ssaf,
+    min_coset_rep,
+    orbit,
+    reduced_word,
+    s_action,
+    schur_polynomial,
+)
 from util import partitions_up_to
 
 MONO_310 = SparsePoly.monomial(1, (3, 1, 0))
@@ -169,25 +178,6 @@ def test_sorting_action_on_characters():
 
 def test_well_defined_over_reduced_words():
     # two different reduced words of the coset minimum give the same result
-    from skyline.permutations import from_word, length
-
-    def all_reduced_words(w, n):
-        target_len = length(w)
-        out = []
-
-        def grow(prefix):
-            if len(prefix) == target_len:
-                if from_word(n, prefix) == w:
-                    out.append(tuple(prefix))
-                return
-            for i in range(1, n):
-                cand = prefix + [i]
-                if length(from_word(n, cand)) == len(cand):
-                    grow(cand)
-
-        grow([])
-        return out
-
     for lam in [(2, 1, 0), (3, 1, 0), (2, 2, 1, 0)]:
         n = len(lam)
         for alpha in orbit(lam):

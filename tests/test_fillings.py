@@ -16,7 +16,7 @@ from skyline.fillings import (
     validate,
 )
 from skyline.shapes import decreasing_rearrangement, num_parts
-from skyline.tableaux import enumerate_ssyt, key_tableau, yamanouchi
+from skyline.tableaux import enumerate_ssyt, key_tableau
 from oracles import (
     enumerate_ssaf,
     insert_by_reading_order,
@@ -242,10 +242,6 @@ def test_right_key_examples():
 
     T = SSYT(((1, 1, 1, 3), (2, 3, 4), (3, 4), (5,)), 5)
     assert right_key(T) == key_tableau((2, 0, 4, 3, 1))
-    for lam in [(2, 1), (3, 1, 1)]:
-        n = 3
-        yam = yamanouchi(lam, n)
-        assert right_key(yam) == key_tableau(lam + (0,) * (n - len(lam)))
     for gamma in small_compositions(4, 3, min_len=1):
         assert right_key(key_tableau(gamma)) == key_tableau(gamma)
 

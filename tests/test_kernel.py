@@ -9,11 +9,8 @@ from skyline.kernel import (
     ExpansionReport,
     KernelInstance,
     alpha_vector,
-    alpha_via_sorting,
     kernel_lhs,
     kernel_rhs,
-    sigma_nw_word,
-    sigma_se_word,
     verify_expansion,
 )
 from skyline.permutations import orbit_bruhat_leq
@@ -24,7 +21,14 @@ from skyline.shapes import (
     decreasing_rearrangement,
     reverse,
 )
-from oracles import schur_polynomial, weight_sum
+from oracles import (
+    alpha_via_sorting,
+    is_reduced,
+    schur_polynomial,
+    sigma_nw_word,
+    sigma_se_word,
+    weight_sum,
+)
 
 
 def _lhs_by_cells(inst: KernelInstance, d: int) -> SparsePoly:
@@ -52,9 +56,9 @@ def test_instance_validation():
 
 
 def test_sigma_se_word_examples():
-    assert sigma_se_word(5, 4, 3).word == (2, 1, 3, 2, 3)
-    assert sigma_se_word(4, 3, 2).word == (2, 1, 2)
-    assert sigma_se_word(3, 3, 3).word == ()
+    assert sigma_se_word(5, 4, 3) == (2, 1, 3, 2, 3)
+    assert sigma_se_word(4, 3, 2) == (2, 1, 2)
+    assert sigma_se_word(3, 3, 3) == ()
     with pytest.raises(ValueError):
         sigma_se_word(5, 3, 4)
 
@@ -63,12 +67,14 @@ def test_sigma_se_word_length_is_skew_size():
     for n, m, k in [(5, 4, 3), (4, 3, 2), (5, 5, 3), (6, 5, 4), (4, 4, 2)]:
         lam = KernelInstance(n, m, k).shape
         rho_size = min(k, m) * (min(k, m) + 1) // 2
-        assert len(sigma_se_word(n, m, k).word) == sum(lam) - rho_size
+        word = sigma_se_word(n, m, k)
+        assert is_reduced(word, n)
+        assert len(word) == sum(lam) - rho_size
 
 
 def test_sigma_nw_word():
-    assert sigma_nw_word(5, 3, 4).word == sigma_se_word(5, 4, 3).word
-    assert sigma_nw_word(3, 3, 3).word == ()
+    assert sigma_nw_word(5, 3, 4) == sigma_se_word(5, 4, 3)
+    assert sigma_nw_word(3, 3, 3) == ()
     with pytest.raises(ValueError):
         sigma_nw_word(5, 4, 3)
 

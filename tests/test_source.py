@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import skyline
@@ -41,3 +42,20 @@ def test_demazure_depends_on_polynomials_alone_and_oracles_stay_in_tests():
     oracles = _defined_names(Path(__file__).parent / "oracles.py")
     in_package = set().union(*(_defined_names(path) for path in SOURCES))
     assert oracles & in_package == set()
+
+
+def test_every_traced_target_resolves():
+    # the bench tracer skips a target it cannot find, so a moved name would
+    # leave its metrics reading 0 without an error
+    path = Path(__file__).resolve().parent.parent / "skybench" / "bench_trace.py"
+    spec = importlib.util.spec_from_file_location("bench_trace_under_test", path)
+    bench_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_trace)
+    targets = [t for ts in bench_trace.SPANS.values() for t in ts]
+    targets += [target for target, _ in bench_trace.COUNT_UNDER.values()]
+    targets.append(bench_trace.TRUNCATE)
+    assert len(targets) == 28
+    for target in targets:
+        importlib.import_module(target.partition(":")[0])
+    missing = [t for t in targets if bench_trace._resolve(t)[2] is None]
+    assert missing == []

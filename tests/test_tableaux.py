@@ -12,7 +12,6 @@ from skyline.tableaux import (
     key_tableau,
     ssyt_from_json,
     ssyt_to_json,
-    yamanouchi,
 )
 from oracles import is_key_by_columns
 from util import partitions_up_to, small_compositions
@@ -35,7 +34,7 @@ def test_validation_rejects_bad_rows():
 def test_column_word_examples():
     assert T_RAGGED.column_word() == (3, 2, 1, 4, 3, 1, 2, 3)
     assert SSYT(((2,),), 3).column_word() == (2,)
-    assert yamanouchi((2, 1), 3).column_word() == (2, 1, 1)
+    assert key_tableau((2, 1, 0)).column_word() == (2, 1, 1)
 
 
 def test_content_examples():
@@ -53,8 +52,8 @@ def test_key_tableau_examples():
         {row[c] for row in tab.rows if len(row) > c} for c in range(len(tab.rows[0]))
     ]
     assert cols == expected_cols
-    lam = (3, 2, 0)
-    assert key_tableau(lam) == yamanouchi(lam, 3)
+    # a partition's key tableau has row i filled with the letter i
+    assert key_tableau((3, 2, 0)).rows == ((1, 1, 1), (2, 2))
 
 
 def test_key_tableau_content_shape_injective():
@@ -115,7 +114,7 @@ def test_evacuation_involution_broad():
 def test_evacuation_of_yamanouchi():
     for n, lam in [(3, (2, 1)), (4, (3, 1, 1)), (3, (3,))]:
         padded = lam + (0,) * (n - len(lam))
-        assert evacuation(yamanouchi(lam, n)) == key_tableau(reverse(padded))
+        assert evacuation(key_tableau(padded)) == key_tableau(reverse(padded))
 
 
 def test_entrywise_leq():
