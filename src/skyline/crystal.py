@@ -6,8 +6,8 @@ unmatched i while e_i lowers the leftmost unmatched i+1.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .demazure import sorting_step
 from .fillings import psi
@@ -24,19 +24,19 @@ def _replace_letter(tab: SSYT, cell: Cell, letter: int) -> SSYT:
     return SSYT(tuple(rows), tab.n)
 
 
-def _unmatched(tab: SSYT, i: int) -> tuple[list[Cell], list[Cell]]:
-    """Cells of unmatched i (closers) and i+1 (openers), in column-word order."""
-    closers: list[Cell] = []
-    openers: list[Cell] = []
-    for r, c in tab.column_cells():
-        letter = tab.rows[r][c]
-        if letter == i + 1:
-            openers.append((r, c))
+def _unmatched(word, i: int) -> tuple[list[int], list[int]]:
+    """Positions in ``word`` of the unmatched i (closers) and i+1 (openers)."""
+    closers: list[int] = []
+    openers: list[int] = []
+    raised = i + 1
+    for pos, letter in enumerate(word):
+        if letter == raised:
+            openers.append(pos)
         elif letter == i:
             if openers:
                 openers.pop()
             else:
-                closers.append((r, c))
+                closers.append(pos)
     return closers, openers
 
 
@@ -44,20 +44,20 @@ def f_op(i: int, tab: SSYT) -> SSYT | None:
     """Raise the rightmost unmatched i to i+1, or None at a string end."""
     if not 1 <= i < tab.n:
         raise ValueError(f"crystal operator index {i} out of range for n={tab.n}")
-    closers, _ = _unmatched(tab, i)
+    closers, _ = _unmatched(tab.column_word(), i)
     if not closers:
         return None
-    return _replace_letter(tab, closers[-1], i + 1)
+    return _replace_letter(tab, tab.column_cells()[closers[-1]], i + 1)
 
 
 def e_op(i: int, tab: SSYT) -> SSYT | None:
     """Lower the leftmost unmatched i+1 to i, or None at a string head."""
     if not 1 <= i < tab.n:
         raise ValueError(f"crystal operator index {i} out of range for n={tab.n}")
-    _, openers = _unmatched(tab, i)
+    _, openers = _unmatched(tab.column_word(), i)
     if not openers:
         return None
-    return _replace_letter(tab, openers[0], i)
+    return _replace_letter(tab, tab.column_cells()[openers[0]], i)
 
 
 @dataclass(frozen=True)
@@ -80,20 +80,31 @@ class DemazureCrystal:
 
 
 def _induced_graph(lam, n: int, vertices) -> CrystalGraph:
-    """The subgraph of B(lam) induced on ``vertices``.
+    """The subgraph of B(lam) induced on ``vertices``, all of shape ``lam``.
 
     Vertices are listed in column-word order, edges ``(tab, i, f_i(tab))`` by
     source position and then colour, keeping those whose target is a vertex.
+    A tableau of a given shape is determined by its column word, so f_i acts
+    on the word and its target is looked up by the changed word: no tableau
+    is built per edge.
     """
-    vertices = tuple(sorted(vertices, key=SSYT.column_word))
-    members = frozenset(vertices)
-    edges = tuple(
-        (tab, i, out)
-        for tab in vertices
-        for i in range(1, n)
-        if (out := f_op(i, tab)) in members
+    vertices = list(vertices)
+    cells = vertices[0].column_cells() if vertices else []
+    by_word = {tuple(tab.rows[r][c] for r, c in cells): tab for tab in vertices}
+    words = sorted(by_word)
+    edges = []
+    for word in words:
+        tab = by_word[word]
+        for i in range(1, n):
+            closers, _ = _unmatched(word, i)
+            if closers:
+                pos = closers[-1]
+                out = by_word.get(word[:pos] + (i + 1,) + word[pos + 1 :])
+                if out is not None:
+                    edges.append((tab, i, out))
+    return CrystalGraph(
+        lam[: num_parts(lam)], n, tuple(by_word[w] for w in words), tuple(edges)
     )
-    return CrystalGraph(lam[: num_parts(lam)], n, vertices, edges)
 
 
 def crystal_graph(lam, n: int) -> CrystalGraph:
@@ -188,17 +199,48 @@ _DOT_COLOURS = (
 )
 
 
+def _indented_json(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for ints, lists and dicts.
+
+    Dict keys must be strings.  With an indent the standard library encodes
+    in pure Python; this writer builds the same text with one join per
+    container.
+    """
+    if type(value) is int:
+        return repr(value)
+    inner = pad + "  "
+    if type(value) is list:
+        if not value:
+            return "[]"
+        opening, closing = "[", "]"
+        items = [
+            repr(item) if type(item) is int else _indented_json(item, inner)
+            for item in value
+        ]
+    elif type(value) is dict:
+        if not value:
+            return "{}"
+        opening, closing = "{", "}"
+        items = [
+            f"{encode_basestring_ascii(key)}: {_indented_json(item, inner)}"
+            for key, item in sorted(value.items())
+        ]
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
+
+
 def export_graph(graph: CrystalGraph, format: str = "dot") -> str:
     """Deterministic DOT or JSON rendering, vertices labelled by word."""
-    label = lambda tab: ",".join(map(str, tab.column_word()))
     if format == "dot":
+        labels = {tab: ",".join(map(str, tab.column_word())) for tab in graph.vertices}
         lines = ["digraph crystal {"]
         for tab in graph.vertices:
-            lines.append(f'  "{label(tab)}";')
+            lines.append(f'  "{labels[tab]}";')
         for src, colour, dst in graph.edges:
             colour_name = _DOT_COLOURS[(colour - 1) % len(_DOT_COLOURS)]
             lines.append(
-                f'  "{label(src)}" -> "{label(dst)}" '
+                f'  "{labels[src]}" -> "{labels[dst]}" '
                 f'[label="{colour}", color="{colour_name}"];'
             )
         lines.append("}")
@@ -211,5 +253,5 @@ def export_graph(graph: CrystalGraph, format: str = "dot") -> str:
             "vertices": [ssyt_to_json(t) for t in graph.vertices],
             "edges": [[index[s], c, index[d]] for s, c, d in graph.edges],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _indented_json(payload) + "\n"
     raise ValueError(f"unsupported format: {format!r}")

@@ -14,12 +14,13 @@ from skyline.crystal import (
     _saturate_heads,
     crystal_graph,
     demazure_crystal,
+    f_op,
 )
 from skyline.fillings import SSAF, _basics_ok, validate
 from skyline.kernel import KernelInstance
 from skyline.permutations import orbit_bruhat_leq
 from skyline.polynomials import SparsePoly
-from skyline.shapes import Composition, decreasing_rearrangement, reverse
+from skyline.shapes import Composition, decreasing_rearrangement, num_parts, reverse
 from skyline.tableaux import SSYT, enumerate_ssyt, is_key, key_columns, key_tableau
 
 # Permutations are tuples in one-line notation with values 1..n.  A
@@ -461,6 +462,23 @@ def demazure_graph_by_filtering(alpha, n: int) -> CrystalGraph:
         tuple(t for t in graph.vertices if t in kept),
         tuple(e for e in graph.edges if e[0] in kept and e[2] in kept),
     )
+
+
+def induced_graph_via_f_op(lam, n: int, vertices) -> CrystalGraph:
+    """The subgraph of B(lam) induced on ``vertices``, one ``f_op`` per edge.
+
+    Vertices are listed in column-word order, edges ``(tab, i, f_i(tab))`` by
+    source position and then colour, keeping those whose target is a vertex.
+    """
+    vertices = tuple(sorted(vertices, key=SSYT.column_word))
+    members = frozenset(vertices)
+    edges = tuple(
+        (tab, i, out)
+        for tab in vertices
+        for i in range(1, n)
+        if (out := f_op(i, tab)) in members
+    )
+    return CrystalGraph(lam[: num_parts(lam)], n, vertices, edges)
 
 
 def is_key_by_columns(tab: SSYT) -> bool:

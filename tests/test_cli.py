@@ -116,6 +116,19 @@ def test_crystal_determinism_and_dot():
     assert len(json.loads(text)["vertices"]) == 9
 
 
+def test_crystal_json_is_a_fixed_point_of_the_stdlib_encoder():
+    for argv in (
+        ["crystal", "--alpha", "1,0,3"],
+        ["crystal", "--alpha", "3,1,0"],
+        ["crystal", "--shape", "2,1", "--n", "3"],
+        ["crystal", "--shape", "1", "--n", "1"],
+        ["crystal", "--shape", "0", "--n", "2"],
+    ):
+        code, text = run_cli(argv + ["--format", "json"])
+        assert code == 0
+        assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+
+
 def test_verify_main_small():
     code, text = run_cli(["verify-main", "--n", "2", "--max-len", "2"])
     assert code == 0

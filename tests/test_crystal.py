@@ -3,6 +3,7 @@ import json
 import pytest
 
 from skyline.crystal import (
+    _indented_json,
     atom_set,
     bounded_entry_restriction,
     crystal_graph,
@@ -17,13 +18,14 @@ from skyline.demazure import apply_op_word, atom, key_polynomial
 from skyline.fillings import right_key
 from skyline.permutations import orbit_bruhat_leq
 from skyline.polynomials import SparsePoly
-from skyline.shapes import reverse
-from skyline.tableaux import SSYT, enumerate_ssyt, key_tableau
+from skyline.shapes import decreasing_rearrangement, reverse
+from skyline.tableaux import SSYT, enumerate_ssyt, key_tableau, ssyt_to_json
 from oracles import (
     all_reduced_words,
     atom_set_by_subtraction,
     demazure_graph_by_filtering,
     demazure_vertices_along,
+    induced_graph_via_f_op,
     min_coset_rep,
     orbit,
     reduced_word,
@@ -34,6 +36,17 @@ from util import partitions_up_to, small_compositions
 
 # the highest-weight tableau of B(3, 1) over [3]: row i holds the letter i
 YAM_31 = SSYT(((1, 1, 1), (2,)), 3)
+
+# the (shape, n) pairs and compositions of the bench's crystal workload
+BENCH_SHAPES = [
+    ((4, 2, 1), 6), ((5, 3, 1), 5), ((3, 3), 6), ((4, 2), 5),
+    ((4, 3, 2, 1), 5), ((3, 2, 1), 5), ((2, 2, 1), 6), ((3, 1), 6),
+]
+BENCH_ALPHAS = [
+    (1, 0, 3), (0, 2, 1, 3), (1, 0, 2, 0, 2), (0, 1, 2, 3),
+    (3, 0, 2, 1, 0, 1), (0, 1, 0, 2, 1, 1), (1, 2, 0, 2, 0, 1), (0, 0, 2, 1, 3),
+    (2, 1, 0, 0, 2, 1),
+]
 
 
 def test_f_op_on_yamanouchi():
@@ -222,6 +235,31 @@ def test_graphs_list_vertices_by_column_word_and_edges_by_source_then_colour():
         assert order == sorted(order) and len(set(order)) == len(order)
 
 
+def test_induced_graphs_match_the_f_op_oracle():
+    # the 261 graphs of the ordering test above, then the bench cases
+    cases = []
+    for n in (1, 2, 3, 4):
+        for lam in partitions_up_to(5, n):
+            expected = induced_graph_via_f_op(lam, n, enumerate_ssyt(lam, n))
+            cases.append((crystal_graph(lam, n), expected))
+            padded = lam + (0,) * (n - len(lam))
+            for alpha in orbit(padded):
+                vertices = demazure_crystal(alpha, n).vertices
+                expected = induced_graph_via_f_op(lam, n, vertices)
+                cases.append((demazure_graph(alpha, n), expected))
+    assert len(cases) == 261
+    for lam, n in BENCH_SHAPES:
+        expected = induced_graph_via_f_op(lam, n, enumerate_ssyt(lam, n))
+        cases.append((crystal_graph(lam, n), expected))
+    for alpha in BENCH_ALPHAS:
+        n = len(alpha)
+        vertices = demazure_crystal(alpha, n).vertices
+        expected = induced_graph_via_f_op(decreasing_rearrangement(alpha), n, vertices)
+        cases.append((demazure_graph(alpha, n), expected))
+    for graph, expected in cases:
+        assert graph == expected
+
+
 def test_string_decomposition():
     g1 = crystal_graph((1,), 2)
     strings = string_decomposition(g1, 1)
@@ -288,3 +326,40 @@ def test_export_graph_formats():
     assert len(payload["vertices"]) == 2 and payload["edges"] == [[0, 1, 1]]
     with pytest.raises(ValueError):
         export_graph(g1, "svg")
+
+
+def _stdlib_json(graph):
+    index = {tab: pos for pos, tab in enumerate(graph.vertices)}
+    payload = {
+        "shape": list(graph.shape),
+        "n": graph.n,
+        "vertices": [ssyt_to_json(t) for t in graph.vertices],
+        "edges": [[index[s], c, index[d]] for s, c, d in graph.edges],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_export_json_matches_the_stdlib_encoder_byte_for_byte():
+    graphs = [
+        crystal_graph((), 2),  # one empty tableau
+        crystal_graph((1,), 1),  # no colours, so no edges
+        demazure_graph((3, 1, 0), 3),  # dominant: a single vertex
+    ]
+    assert [len(g.edges) for g in graphs] == [0, 0, 0]
+    assert len(graphs[2].vertices) == 1
+    graphs += [crystal_graph(lam, n) for lam, n in BENCH_SHAPES]
+    graphs += [demazure_graph(alpha, len(alpha)) for alpha in BENCH_ALPHAS]
+    for graph in graphs:
+        assert export_graph(graph, "json") == _stdlib_json(graph)
+
+
+def test_indented_json_writer_matches_json_dumps():
+    values = [
+        0, -7, 10**30, [], {}, [[]], [{}], {"b": [], "a": {}},
+        {"z": [1, [2, [-3]]], "é\"\n": {"k": 4}, "": [[], [5]]},
+    ]
+    for value in values:
+        assert _indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    for bad in (True, 1.5, "s", None, (1,), {1: 2}, [False]):
+        with pytest.raises(TypeError):
+            _indented_json(bad)
