@@ -6,13 +6,13 @@ unmatched i while e_i lowers the leftmost unmatched i+1.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 from .demazure import sorting_step
 from .fillings import psi
 from .shapes import Composition, decreasing_rearrangement, num_parts
-from .tableaux import SSYT, enumerate_ssyt, key_tableau, ssyt_to_json
+from .tableaux import SSYT, enumerate_ssyt, key_tableau
 
 Cell = tuple[int, int]
 
@@ -199,35 +199,16 @@ _DOT_COLOURS = (
 )
 
 
-def _indented_json(value, pad: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for ints, lists and dicts.
+def _json_template(value, depth: int) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` nested ``depth`` levels
+    deep, with each ``"%d"`` string unquoted into a format slot."""
+    text = json.dumps(value, indent=2, sort_keys=True).replace('"%d"', "%d")
+    return text.replace("\n", "\n" + "  " * depth)
 
-    Dict keys must be strings.  With an indent the standard library encodes
-    in pure Python; this writer builds the same text with one join per
-    container.
-    """
-    if type(value) is int:
-        return repr(value)
-    inner = pad + "  "
-    if type(value) is list:
-        if not value:
-            return "[]"
-        opening, closing = "[", "]"
-        items = [
-            repr(item) if type(item) is int else _indented_json(item, inner)
-            for item in value
-        ]
-    elif type(value) is dict:
-        if not value:
-            return "{}"
-        opening, closing = "{", "}"
-        items = [
-            f"{encode_basestring_ascii(key)}: {_indented_json(item, inner)}"
-            for key, item in sorted(value.items())
-        ]
-    else:
-        raise TypeError(f"cannot write {type(value).__name__} as JSON")
-    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
+
+def _json_items(items: list[str]) -> str:
+    """A top-level list of already indented items."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def export_graph(graph: CrystalGraph, format: str = "dot") -> str:
@@ -246,12 +227,17 @@ def export_graph(graph: CrystalGraph, format: str = "dot") -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if format == "json":
+        # every vertex has the graph's shape and alphabet: only entries vary
         index = {tab: pos for pos, tab in enumerate(graph.vertices)}
-        payload = {
-            "shape": list(graph.shape),
-            "n": graph.n,
-            "vertices": [ssyt_to_json(t) for t in graph.vertices],
-            "edges": [[index[s], c, index[d]] for s, c, d in graph.edges],
-        }
-        return _indented_json(payload) + "\n"
+        shape = list(graph.shape)
+        rows = [["%d"] * length for length in shape]
+        vertex = _json_template({"n": graph.n, "rows": rows, "shape": shape}, 2)
+        edge = _json_template(["%d"] * 3, 2)
+        vertices = [vertex % sum(t.rows, ()) for t in graph.vertices]
+        edges = [edge % (index[s], c, index[d]) for s, c, d in graph.edges]
+        return (
+            f'{{\n  "edges": {_json_items(edges)},\n  "n": {graph.n},\n'
+            f'  "shape": {_json_template(shape, 1)},\n'
+            f'  "vertices": {_json_items(vertices)}\n}}\n'
+        )
     raise ValueError(f"unsupported format: {format!r}")

@@ -307,31 +307,25 @@ def unique_key_tableau(tableaux) -> SSYT:
     return keys[0]
 
 
+@lru_cache(maxsize=None)
+def bruhat_lower_interval(sigma: Permutation) -> frozenset[Permutation]:
+    """The products of all subwords of one reduced word of ``sigma``.
+
+    By the subword property these are exactly the theta <= sigma.
+    """
+    n = len(sigma)
+    products = {identity(n)}
+    for i in reduced_word(sigma):
+        products |= {compose(w, simple(n, i)) for w in products}
+    return frozenset(products)
+
+
 def bruhat_leq_subword(theta, sigma) -> bool:
     """Subword-property test; exponential, intended as a small-n oracle."""
     theta, sigma = check_permutation(theta), check_permutation(sigma)
     if len(theta) != len(sigma):
         raise ValueError("size mismatch")
-    word = reduced_word(sigma)
-
-    @lru_cache(maxsize=None)
-    def rec(pos: int, th: Permutation) -> bool:
-        if length(th) == 0:
-            return True
-        if pos == len(word):
-            return False
-        if rec(pos + 1, th):
-            return True
-        i = word[pos]
-        # use word[pos] as the leftmost letter of a reduced word for th
-        shorter = tuple(
-            i + 1 if v == i else i if v == i + 1 else v for v in th
-        )
-        if length(shorter) < length(th):
-            return rec(pos + 1, shorter)
-        return False
-
-    return rec(0, theta)
+    return theta in bruhat_lower_interval(sigma)
 
 
 def _standardized(filling: SSAF) -> dict[tuple[int, int], int]:

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from skyline.crystal import (
-    _indented_json,
     atom_set,
     bounded_entry_restriction,
     crystal_graph,
@@ -354,12 +353,15 @@ def test_export_json_matches_the_stdlib_encoder_byte_for_byte():
 
 
 def test_indented_json_writer_matches_json_dumps():
-    values = [
-        0, -7, 10**30, [], {}, [[]], [{}], {"b": [], "a": {}},
-        {"z": [1, [2, [-3]]], "é\"\n": {"k": 4}, "": [[], [5]]},
+    graphs = [
+        crystal_graph((2, 1), 11),  # two-digit entries
+        crystal_graph((1, 1, 1), 4),  # a single column
+        crystal_graph((3,), 2),  # a single row
+        crystal_graph((0,), 0),  # the empty shape over an empty alphabet
+        demazure_graph((2, 2, 0), 3),  # dominant: a single vertex
     ]
-    for value in values:
-        assert _indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
-    for bad in (True, 1.5, "s", None, (1,), {1: 2}, [False]):
-        with pytest.raises(TypeError):
-            _indented_json(bad)
+    assert max(t.max_entry() for t in graphs[0].vertices) == 11
+    assert graphs[3].shape == () and graphs[3].n == 0
+    assert [len(g.vertices) for g in graphs[3:]] == [1, 1]
+    for graph in graphs:
+        assert export_graph(graph, "json") == _stdlib_json(graph)
