@@ -17,25 +17,28 @@ def pi_op(i: int, f: SparsePoly) -> SparsePoly:
     On a monomial with exponents a, b at positions i, i+1: adds the
     telescoping sum when a > b, fixes the monomial when a = b, and
     subtracts the telescoping sum (cancelling the monomial) when a < b.
+    The image starts as a copy of ``f``, which keeps the first term of each
+    sum and the hash of every exponent tuple; only the moved monomials and
+    the cancelled ones are hashed again.
     """
     if f.ny is not None:
         raise ValueError("operators act on single-alphabet polynomials")
     if not 1 <= i < f.nx:
         raise ValueError(f"operator index {i} out of range for {f.nx} variables")
-    terms: dict = {}
-
-    def put(exp, coeff):
-        terms[exp] = terms.get(exp, 0) + coeff
-
+    terms = dict(f.terms)
+    get = terms.get
     for exp, coeff in f.terms.items():
         a, b = exp[i - 1], exp[i]
         if a >= b:
-            for j in range(a - b + 1):
-                put(exp[: i - 1] + (a - j, b + j) + exp[i + 1 :], coeff)
-        else:
-            put(exp, coeff)
-            for j in range(b - a):
-                put(exp[: i - 1] + (a + j, b - j) + exp[i + 1 :], -coeff)
+            step, span = 1, range(1, a - b + 1)
+        else:  # the sum's first term cancels the monomial
+            terms[exp] -= coeff
+            step, span, coeff = -1, range(1, b - a), -coeff
+        if span:
+            head, tail = exp[: i - 1], exp[i + 1 :]
+            for j in span:
+                key = head + (a - step * j, b + step * j) + tail
+                terms[key] = get(key, 0) + coeff
     return SparsePoly(f.nx, terms)
 
 
@@ -65,26 +68,55 @@ def sorting_step(alpha) -> tuple[int, tuple[int, ...]] | None:
     return None
 
 
+# Sorting chains longer than this are warmed from their dominant end first.
+_STRIDE = 200
+
+
+def _along_chain(cached, alpha):
+    """``cached(alpha)`` for a function that recurses once per sorting step.
+
+    A chain has at most len(alpha) choose 2 steps.  When that bound exceeds
+    ``_STRIDE``, ``cached`` is first called on every ``_STRIDE``-th
+    composition of the chain, from the dominant end up, so that no call
+    recurses more than ``_STRIDE`` steps before it reaches a cached value.
+    Every composition of the chain still gets its own cache entry.
+    """
+    alpha = tuple(alpha)
+    if len(alpha) * (len(alpha) - 1) // 2 > _STRIDE:
+        chain = [alpha]
+        while (step := sorting_step(chain[-1])) is not None:
+            chain.append(step[1])
+        for beta in chain[::-_STRIDE]:
+            cached(beta)
+    return cached(alpha)
+
+
 @lru_cache(maxsize=None)
-def key_polynomial(alpha: tuple[int, ...]) -> SparsePoly:
+def _key(alpha: tuple[int, ...]) -> SparsePoly:
+    step = sorting_step(alpha)
+    if step is None:
+        return SparsePoly.monomial(1, alpha)
+    i, swapped = step
+    return pi_op(i, _key(swapped))
+
+
+@lru_cache(maxsize=None)
+def _atom(alpha: tuple[int, ...]) -> SparsePoly:
+    step = sorting_step(alpha)
+    if step is None:
+        return SparsePoly.monomial(1, alpha)
+    i, swapped = step
+    return pihat_op(i, _atom(swapped))
+
+
+def key_polynomial(alpha) -> SparsePoly:
     """Demazure character indexed by a weak composition.
 
     The alphabet size equals len(alpha); callers pad with zeros themselves.
     """
-    alpha = tuple(alpha)
-    step = sorting_step(alpha)
-    if step is None:
-        return SparsePoly.monomial(1, alpha)
-    i, swapped = step
-    return pi_op(i, key_polynomial(swapped))
+    return _along_chain(_key, alpha)
 
 
-@lru_cache(maxsize=None)
-def atom(alpha: tuple[int, ...]) -> SparsePoly:
+def atom(alpha) -> SparsePoly:
     """Demazure atom: the same recursion with the complementary operator."""
-    alpha = tuple(alpha)
-    step = sorting_step(alpha)
-    if step is None:
-        return SparsePoly.monomial(1, alpha)
-    i, swapped = step
-    return pihat_op(i, atom(swapped))
+    return _along_chain(_atom, alpha)

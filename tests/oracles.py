@@ -6,6 +6,7 @@ something.
 """
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -17,7 +18,7 @@ from skyline.crystal import (
     f_op,
 )
 from skyline.fillings import SSAF, _basics_ok, validate
-from skyline.kernel import KernelInstance
+from skyline.kernel import KernelInstance, kernel_lhs, kernel_rhs
 from skyline.permutations import orbit_bruhat_leq
 from skyline.polynomials import SparsePoly
 from skyline.shapes import Composition, decreasing_rearrangement, num_parts, reverse
@@ -208,6 +209,67 @@ def alpha_via_sorting(mu, n: int, m: int, k: int) -> Composition:
         raise ValueError(f"mu must have length k={k}")
     start = reverse(mu) + (0,) * (n - k)
     return apply_word(tuple(i for i in word if i < m), start)
+
+
+@dataclass(frozen=True)
+class WholeExpansionReport:
+    """The kernel check made on the two whole truncated polynomials."""
+
+    n: int
+    m: int
+    k: int
+    degree: int
+    lhs: SparsePoly
+    rhs: SparsePoly
+    equal: bool
+    first_diff: tuple | None
+
+    @property
+    def terms(self) -> int:
+        return len(self.lhs.terms)
+
+    def summary(self) -> str:
+        head = f"kernel n={self.n} m={self.m} k={self.k} deg={self.degree}: "
+        if self.equal:
+            return head + f"equal ({len(self.lhs.terms)} terms)"
+        xexp, yexp, lc, rc = self.first_diff
+        return head + (
+            f"MISMATCH at x^{xexp} y^{yexp}: lhs has {lc}, rhs has {rc}"
+        )
+
+    def to_json(self) -> dict:
+        out = {
+            "n": self.n,
+            "m": self.m,
+            "k": self.k,
+            "degree": self.degree,
+            "equal": self.equal,
+            "lhs": self.lhs.to_json(),
+            "rhs": self.rhs.to_json(),
+        }
+        if self.first_diff is not None:
+            xexp, yexp, lc, rc = self.first_diff
+            out["first_diff"] = {
+                "x_exp": list(xexp),
+                "y_exp": list(yexp),
+                "lhs_coeff": lc,
+                "rhs_coeff": rc,
+            }
+        return out
+
+
+def verify_by_whole_polynomials(inst: KernelInstance, d: int) -> WholeExpansionReport:
+    """Build both truncated sides whole, compare them and locate the first
+    mismatch in the order ``(|x|, x, y)`` from their difference."""
+    lhs = kernel_lhs(inst, d)
+    rhs = kernel_rhs(inst, d)
+    equal = lhs == rhs
+    first_diff = None
+    if not equal:
+        key, _ = (lhs - rhs).sorted_terms()[0]
+        k = inst.k
+        first_diff = (key[:k], key[k:], lhs.terms.get(key, 0), rhs.terms.get(key, 0))
+    return WholeExpansionReport(inst.n, inst.m, inst.k, d, lhs, rhs, equal, first_diff)
 
 
 def demazure_vertices_along(word, alpha) -> frozenset[SSYT]:

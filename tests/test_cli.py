@@ -14,7 +14,6 @@ import skyline
 from skyline import cli, correspondences
 from skyline.fillings import ssaf_to_json
 from skyline.kernel import ExpansionReport
-from skyline.polynomials import SparsePoly
 from skyline.tableaux import insert_word, ssyt_to_json
 from util import biword_multisets
 
@@ -191,14 +190,15 @@ def test_verify_kernel_jobs_byte_identical():
 
 
 def test_verify_kernel_computes_each_side_once(monkeypatch):
+    # both sides come from one streamed pass over the x-exponents
     calls = []
-    original = cli.kernel.kernel_lhs
+    original = cli.kernel.split_by_x
 
     def counting(inst, d):
         calls.append((inst, d))
         return original(inst, d)
 
-    monkeypatch.setattr(cli.kernel, "kernel_lhs", counting)
+    monkeypatch.setattr(cli.kernel, "split_by_x", counting)
     args = ["verify-kernel", "--n", "5", "--m", "4", "--k", "3", "--deg", "2"]
     code, _ = run_cli(args + ["--jobs", "2"])
     assert code == 0
@@ -206,11 +206,7 @@ def test_verify_kernel_computes_each_side_once(monkeypatch):
 
 
 def test_verify_kernel_failure_exit(monkeypatch):
-    bad = ExpansionReport(
-        3, 3, 3, 1,
-        SparsePoly.zero(3, 3), SparsePoly.zero(3, 3),
-        False, ((1, 0, 0), (0, 0, 1), 1, 0),
-    )
+    bad = ExpansionReport(3, 3, 3, 1, 7, False, ((1, 0, 0), (0, 0, 1), 1, 0))
     monkeypatch.setattr(cli.kernel, "verify_expansion", lambda inst, d: bad)
     code, text = run_cli(
         ["verify-kernel", "--n", "3", "--m", "3", "--k", "3", "--deg", "1"]
@@ -322,8 +318,7 @@ DEEP_JSON = "[" * 100000
         ["psi-inv", "--ssaf", DEEP_JSON],
         ["phi-inv", "--f", DEEP_JSON, "--g", "{}"],
         ["phi", "--biword", DEEP_JSON, "--n", "2"],
-        # the key_polynomial recursion is as deep as the sorting chain
-        ["keypoly", "--alpha", "0," * 1001 + "1"],
+        ["psi", "--tableau", DEEP_JSON],
     ],
 )
 def test_input_beyond_the_recursion_limit_is_a_usage_error(argv, capsys):
@@ -332,6 +327,19 @@ def test_input_beyond_the_recursion_limit_is_a_usage_error(argv, capsys):
     assert text == ""
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_sorting_chains_longer_than_the_recursion_limit():
+    # 1100 ascent swaps: more nested calls than the recursion limit allows
+    alpha = "0," * 1100 + "1"
+    code, text = run_cli(["atom", "--alpha", alpha, "--json"])
+    assert code == 0
+    assert json.loads(text) == [{"coeff": 1, "x_exp": [0] * 1100 + [1]}]
+    code, text = run_cli(["keypoly", "--alpha", alpha, "--json"])
+    assert code == 0
+    terms = json.loads(text)
+    assert len(terms) == 1101
+    assert {(t["coeff"], sum(t["x_exp"])) for t in terms} == {(1, 1)}
 
 
 def test_verify_kernel_unwritable_json_path_is_a_usage_error(tmp_path, capsys):
@@ -347,11 +355,7 @@ def test_verify_kernel_unwritable_json_path_is_a_usage_error(tmp_path, capsys):
 def test_verify_kernel_mismatch_with_unwritable_json_path_exits_1(
     tmp_path, monkeypatch, capsys
 ):
-    bad = ExpansionReport(
-        3, 3, 3, 1,
-        SparsePoly.zero(3, 3), SparsePoly.zero(3, 3),
-        False, ((1, 0, 0), (0, 0, 1), 1, 0),
-    )
+    bad = ExpansionReport(3, 3, 3, 1, 7, False, ((1, 0, 0), (0, 0, 1), 1, 0))
     monkeypatch.setattr(cli.kernel, "verify_expansion", lambda inst, d: bad)
     path = tmp_path / "missing" / "report.json"
     argv = ["verify-kernel", "--n", "3", "--m", "3", "--k", "3", "--deg", "1"]

@@ -1,4 +1,5 @@
 import json
+from itertools import zip_longest
 
 import pytest
 
@@ -338,6 +339,20 @@ def _stdlib_json(graph):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _first_differing_line(got: str, want: str):
+    """None when the texts agree, else (line number, got line, wanted line).
+
+    Asserting on this small tuple keeps a failure fast: pytest would diff
+    the two whole documents, which takes minutes on a bench graph.
+    """
+    if got == want:
+        return None
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    for number, (g, w) in enumerate(zip_longest(got_lines, want_lines), 1):
+        if g != w:
+            return number, g, w
+
+
 def test_export_json_matches_the_stdlib_encoder_byte_for_byte():
     graphs = [
         crystal_graph((), 2),  # one empty tableau
@@ -349,7 +364,8 @@ def test_export_json_matches_the_stdlib_encoder_byte_for_byte():
     graphs += [crystal_graph(lam, n) for lam, n in BENCH_SHAPES]
     graphs += [demazure_graph(alpha, len(alpha)) for alpha in BENCH_ALPHAS]
     for graph in graphs:
-        assert export_graph(graph, "json") == _stdlib_json(graph)
+        got, want = export_graph(graph, "json"), _stdlib_json(graph)
+        assert _first_differing_line(got, want) is None
 
 
 def test_indented_json_writer_matches_json_dumps():
@@ -364,4 +380,5 @@ def test_indented_json_writer_matches_json_dumps():
     assert graphs[3].shape == () and graphs[3].n == 0
     assert [len(g.vertices) for g in graphs[3:]] == [1, 1]
     for graph in graphs:
-        assert export_graph(graph, "json") == _stdlib_json(graph)
+        got, want = export_graph(graph, "json"), _stdlib_json(graph)
+        assert _first_differing_line(got, want) is None

@@ -1,8 +1,10 @@
+import io
 import itertools
+import json
 
 import pytest
 
-from skyline import kernel
+from skyline import cli, kernel
 from skyline.correspondences import from_multiset, phi
 from skyline.demazure import atom, key_polynomial
 from skyline.kernel import (
@@ -27,8 +29,24 @@ from oracles import (
     schur_polynomial,
     sigma_nw_word,
     sigma_se_word,
+    verify_by_whole_polynomials,
     weight_sum,
 )
+
+# (n, m, k, degree) of the bench's kernel workload
+KERNEL_CASES = [
+    (4, 4, 4, 5), (5, 5, 5, 4),
+    (6, 4, 3, 5), (6, 3, 4, 5), (5, 3, 3, 5), (6, 5, 2, 5), (6, 2, 5, 5),
+    (6, 5, 4, 4), (6, 4, 5, 4), (5, 5, 4, 5), (5, 4, 5, 5), (6, 6, 3, 4), (6, 3, 6, 4),
+]
+
+SMALL_INSTANCES = [
+    (n, m, k, d)
+    for n in range(1, 6)
+    for m in range(1, n + 1)
+    for k in range(n + 1 - m, n + 1)
+    for d in range(5)
+]
 
 
 def _lhs_by_cells(inst: KernelInstance, d: int) -> SparsePoly:
@@ -183,9 +201,7 @@ def test_verify_expansion_basic():
 
 
 def test_verify_expansion_report_on_mismatch():
-    lhs = SparsePoly.monomial(1, (1,), (1,))
-    rhs = SparsePoly.monomial(2, (1,), (1,)) + SparsePoly.monomial(1, (2,), (2,))
-    report = ExpansionReport(1, 1, 1, 2, lhs, rhs, False, ((1,), (1,), 1, 2))
+    report = ExpansionReport(1, 1, 1, 2, 3, False, ((1,), (1,), 1, 2))
     assert "MISMATCH" in report.summary()
     assert report.to_json()["first_diff"]["lhs_coeff"] == 1
 
@@ -193,16 +209,22 @@ def test_verify_expansion_report_on_mismatch():
 def test_verify_expansion_names_the_graded_least_real_mismatch(monkeypatch):
     # k=2 rows, m=3 columns; the lhs has x_1 y_1 with coefficient 1
     inst = KernelInstance(3, 3, 2)
-    true_rhs = kernel.kernel_rhs
-    shared = SparsePoly.monomial(3, (1, 0), (1, 0, 0))  # coefficient 1 -> 4
-    rhs_only = SparsePoly.monomial(5, (1, 0), (2, 0, 0))  # larger y, same x
-    higher = SparsePoly.monomial(7, (0, 2), (0, 0, 0))  # x lex-smaller, degree 2
+    true_pairs = kernel.rhs_pairs
+    shared = SparsePoly.monomial(3, (1, 0)), SparsePoly.monomial(1, (1, 0, 0))
+    rhs_only = SparsePoly.monomial(5, (1, 0)), SparsePoly.monomial(1, (2, 0, 0))
+    higher = SparsePoly.monomial(7, (0, 2)), SparsePoly.monomial(1, (0, 0, 0))
+    beyond = SparsePoly.monomial(2, (0, 4)), SparsePoly.monomial(1, (0, 0, 1))
 
-    def report_with(extra):
-        monkeypatch.setattr(kernel, "kernel_rhs", lambda i, d: true_rhs(i, d) + extra)
+    def report_with(*extra):
+        # the extra (x, y) pairs add 3 x_1 y_1, 5 x_1 y_1^2, 7 x_2^2 or 2 x_2^4 y_3
+        def pairs(i, d):
+            yield from true_pairs(i, d)
+            yield from extra
+
+        monkeypatch.setattr(kernel, "rhs_pairs", pairs)
         return verify_expansion(inst, 3)
 
-    report = report_with(shared + rhs_only + higher)
+    report = report_with(shared, rhs_only, higher)
     assert not report.equal
     assert report.first_diff == ((1, 0), (1, 0, 0), 1, 4)
     assert report.summary() == (
@@ -212,8 +234,71 @@ def test_verify_expansion_names_the_graded_least_real_mismatch(monkeypatch):
     assert report.to_json()["first_diff"] == {
         "x_exp": [1, 0], "y_exp": [1, 0, 0], "lhs_coeff": 1, "rhs_coeff": 4
     }
-    assert report_with(rhs_only + higher).first_diff == ((1, 0), (2, 0, 0), 0, 5)
+    assert report_with(rhs_only, higher).first_diff == ((1, 0), (2, 0, 0), 0, 5)
     assert report_with(higher).first_diff == ((0, 2), (0, 0, 0), 0, 7)
+    # a right-side term above the degree is still compared
+    assert report_with(beyond).first_diff == ((0, 4), (0, 0, 1), 0, 2)
+
+
+def _assert_matches_oracle(inst, d):
+    streamed = verify_expansion(inst, d)
+    whole = verify_by_whole_polynomials(inst, d)
+    assert (streamed.equal, streamed.terms, streamed.first_diff) == (
+        whole.equal, whole.terms, whole.first_diff
+    )
+    assert streamed.summary() == whole.summary()
+    assert streamed.to_json() == whole.to_json()
+    return streamed
+
+
+@pytest.mark.parametrize("n,m,k,d", KERNEL_CASES)
+def test_streamed_check_matches_the_whole_polynomials_on_the_bench_cases(n, m, k, d):
+    assert _assert_matches_oracle(KernelInstance(n, m, k), d).equal
+
+
+def test_streamed_check_matches_the_whole_polynomials_on_every_small_instance():
+    assert len(SMALL_INSTANCES) == 175
+    for n, m, k, d in SMALL_INSTANCES:
+        assert _assert_matches_oracle(KernelInstance(n, m, k), d).equal, (n, m, k, d)
+
+
+def _sorted_index(mu, n, m, k):
+    return tuple(sorted(mu))
+
+
+def _oversized_index(mu, n, m, k):
+    # the first entry grows by 5, so the index has size |mu| + 5 > d; the
+    # name alpha_vector here is the import, which the tests do not patch
+    alpha = alpha_vector(mu, n, m, k)
+    return (alpha[0] + 5,) + alpha[1:]
+
+
+@pytest.mark.parametrize("broken", [_sorted_index, _oversized_index])
+@pytest.mark.parametrize("n,m,k,d", [(3, 3, 3, 4), (5, 4, 3, 3), (5, 3, 4, 3)])
+def test_a_broken_character_index_fails_with_the_oracles_first_diff(
+    monkeypatch, broken, n, m, k, d
+):
+    inst = KernelInstance(n, m, k)
+    monkeypatch.setattr(kernel, "alpha_vector", broken)
+    whole = verify_by_whole_polynomials(inst, d)
+    assert not whole.equal
+    assert not _assert_matches_oracle(inst, d).equal
+    out = io.StringIO()
+    argv = ["verify-kernel", "--n", str(n), "--m", str(m), "--k", str(k)]
+    assert cli.run(argv + ["--deg", str(d), "--json", "-"], out) == 1
+    assert out.getvalue() == (
+        whole.summary() + "\n" + json.dumps(whole.to_json(), sort_keys=True) + "\n"
+    )
+
+
+def test_a_sorted_index_changes_24_of_the_35_classes_of_3_3_3_4():
+    changed = [
+        mu
+        for size in range(5)
+        for mu in compositions_with_sum(size, 3)
+        if key_polynomial(tuple(sorted(mu))) != key_polynomial(alpha_vector(mu, 3, 3, 3))
+    ]
+    assert len(changed) == 24
 
 
 def test_rectangle_matches_classical_cauchy():
