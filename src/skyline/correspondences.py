@@ -203,14 +203,21 @@ def criterion_sweep(n: int, max_len: int):
     them for ``Biword(pairs)``, once per biword of length <= ``max_len``, in
     no fixed order.  phi reads the last biletter first, so a depth-first
     search that prepends biletters in non-increasing lexicographic order
-    gets each child's (F, G) from its parent's by one
-    :func:`_step_columns`, and each distinct shape pair costs one Bruhat test.
+    gets each child's (F, G) from its parent's by one step of phi.  F
+    depends only on the bottom letters and G only on the top letters and
+    the heights insertion reached, so the step is split into an insertion
+    memoised by (F, j) and a recording memoised by (G, i, h), and each
+    distinct shape pair costs one Bruhat test.  The tables live for one call.
     """
     if n < 0 or max_len < 0:
         raise ValueError(f"need n >= 0 and max_len >= 0, got {n} and {max_len}")
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     empty = empty_ssaf(n).columns
     bruhat = {}  # sh(G) + sh(F) -> rhs; shape pairs repeat across many nodes
+    # Each entry keeps its filling's sorted heights, so the shape check of
+    # _step_columns is one comparison per child.
+    inserted = {}  # (F, j) -> (F', terminal height, sorted heights of F')
+    recorded = {}  # (G, i, h) -> (G', sorted heights of G')
     # (pairs, lhs, columns of F, columns of G, number of cells still prependable)
     stack = [((), True, empty, empty, len(cells))]
     while stack:
@@ -222,7 +229,18 @@ def criterion_sweep(n: int, max_len: int):
         yield pairs, lhs, rhs
         if len(pairs) < max_len:
             for c, (i, j) in enumerate(cells[:allowed]):
-                f2, g2 = _step_columns(f, g, i, j)
+                step = inserted.get((f, j))
+                if step is None:
+                    f2, h, _, _ = insert_columns(j, f)
+                    step = inserted[f, j] = f2, h, sorted(map(len, f2))
+                f2, h, f_heights = step
+                record = recorded.get((g, i, h))
+                if record is None:
+                    g2 = _place_in_recording(g, i, h)
+                    record = recorded[g, i, h] = g2, sorted(map(len, g2))
+                g2, g_heights = record
+                if f_heights != g_heights:
+                    raise AssertionError("insertion and recording shapes diverged")
                 stack.append((((i, j),) + pairs, lhs and i + j <= n + 1, f2, g2, c + 1))
 
 

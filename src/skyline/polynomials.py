@@ -27,13 +27,16 @@ class SparsePoly:
         self.nx = nx
         self.ny = ny
         width = nx + (ny or 0)
-        clean = {}
-        for key, coeff in (terms or {}).items():
-            if coeff == 0:
-                continue
+        terms = terms or {}
+        for key in terms:
             if len(key) != width:
                 raise ValueError(f"exponent {key} has length != {width}")
-            clean[key] = coeff
+        # Copying a dict reuses its stored hashes, so no exponent tuple is
+        # hashed again; only the keys of zero terms are looked up.
+        clean = dict(terms)
+        if 0 in clean.values():
+            for key in [key for key, coeff in clean.items() if coeff == 0]:
+                del clean[key]
         self.terms = clean
 
     @classmethod

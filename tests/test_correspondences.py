@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skyline import correspondences
 from skyline.correspondences import (
     Biword,
     alphabet_support_check,
@@ -205,7 +206,8 @@ def test_main_theorem_worked_examples():
 
 
 @pytest.mark.parametrize(
-    "n, max_len", [(0, 4), (1, 4), (2, 4), (3, 4), (4, 3), (5, 3), (2, 6)]
+    "n, max_len",
+    [(0, 4), (1, 4), (2, 4), (3, 4), (4, 3), (5, 3), (2, 6), (4, 4), (3, 5)],
 )
 def test_criterion_sweep_matches_the_predicate(n, max_len):
     swept = list(criterion_sweep(n, max_len))
@@ -221,6 +223,56 @@ def test_criterion_sweep_rejects_negative_arguments():
         list(criterion_sweep(-1, 2))
     with pytest.raises(ValueError):
         list(criterion_sweep(2, -1))
+
+
+def test_criterion_sweep_checks_shapes_on_every_child(monkeypatch):
+    def grow_column_0(cols, letter, h):
+        return (cols[0] + (letter,),) + cols[1:]
+
+    monkeypatch.setattr(correspondences, "_place_in_recording", grow_column_0)
+    with pytest.raises(AssertionError, match="shapes diverged"):
+        list(criterion_sweep(3, 3))
+
+
+def _count_insertions(monkeypatch):
+    calls = []
+    insert = correspondences.insert_columns
+
+    def counting(k, columns):
+        calls.append(k)
+        return insert(k, columns)
+
+    monkeypatch.setattr(correspondences, "insert_columns", counting)
+    return calls
+
+
+def test_criterion_sweep_memo_tables_live_for_one_call(monkeypatch):
+    calls = _count_insertions(monkeypatch)
+    separate = []
+    for _ in range(2):
+        del calls[:]
+        separate.append((Counter(criterion_sweep(3, 4)), len(calls)))
+    # a table outliving the first call would make the second one cheaper
+    assert separate[0] == separate[1]
+    del calls[:]
+    a, b = criterion_sweep(3, 4), criterion_sweep(3, 4)
+    swept_a, swept_b = Counter(), Counter()
+    for x, y in zip(a, b):
+        swept_a[x] += 1
+        swept_b[y] += 1
+    assert next(a, None) is None and next(b, None) is None
+    assert swept_a == swept_b == separate[0][0]
+    assert len(calls) == 2 * separate[0][1]
+
+
+@pytest.mark.parametrize("n, max_len", [(4, 4), (6, 3), (2, 8)])
+def test_criterion_sweep_inserts_once_per_bottom_prefix_and_letter(
+    monkeypatch, n, max_len
+):
+    calls = _count_insertions(monkeypatch)
+    for _ in criterion_sweep(n, max_len):
+        pass
+    assert len(calls) <= n * sum(n**l for l in range(max_len))
 
 
 def _count_dominance(f, g, j_col, i_col):

@@ -55,6 +55,23 @@ def test_arity_mismatch():
             SparsePoly(2, {key: 1}, 3)
 
 
+def test_constructor_drops_zeros_checks_widths_and_copies():
+    terms = {(1, 0): 2, (0, 1): 0, (2, 2): -1}
+    p = SparsePoly(2, terms)
+    assert p.terms == {(1, 0): 2, (2, 2): -1}
+    assert terms == {(1, 0): 2, (0, 1): 0, (2, 2): -1}  # the input is left as it was
+    terms[(3, 3)] = 5
+    assert p.terms == {(1, 0): 2, (2, 2): -1}  # and is not aliased
+    dense = {(1, 0): 2, (2, 2): -1}
+    q = SparsePoly(2, dense)
+    assert q.terms == dense and q.terms is not dense
+    assert SparsePoly(2, {(0, 0): 0}).is_zero()
+    with pytest.raises(ValueError):
+        SparsePoly(2, {(1, 0): 2, (1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        SparsePoly(1, {(0,): 1}, 2)
+
+
 @given(poly_strategy(), poly_strategy(), poly_strategy())
 def test_ring_axioms(p, q, r):
     assert p + q == q + p
