@@ -14,10 +14,7 @@ from .fillings import psi
 from .shapes import Composition, decreasing_rearrangement, num_parts
 from .tableaux import SSYT, enumerate_ssyt, key_tableau
 
-Cell = tuple[int, int]
-
-
-def _replace_letter(tab: SSYT, cell: Cell, letter: int) -> SSYT:
+def _replace_letter(tab: SSYT, cell: tuple[int, int], letter: int) -> SSYT:
     r, c = cell
     rows = list(tab.rows)
     rows[r] = rows[r][:c] + (letter,) + rows[r][c + 1 :]
@@ -28,9 +25,8 @@ def _unmatched(word, i: int) -> tuple[list[int], list[int]]:
     """Positions in ``word`` of the unmatched i (closers) and i+1 (openers)."""
     closers: list[int] = []
     openers: list[int] = []
-    raised = i + 1
     for pos, letter in enumerate(word):
-        if letter == raised:
+        if letter == i + 1:
             openers.append(pos)
         elif letter == i:
             if openers:
@@ -86,25 +82,29 @@ def _induced_graph(lam, n: int, vertices) -> CrystalGraph:
     source position and then colour, keeping those whose target is a vertex.
     A tableau of a given shape is determined by its column word, so f_i acts
     on the word and its target is looked up by the changed word: no tableau
-    is built per edge.
+    is built per edge.  One pass over a word matches all colours: letter a
+    opens colour a - 1 and closes colour a.
     """
     vertices = list(vertices)
     cells = vertices[0].column_cells() if vertices else []
-    by_word = {tuple(tab.rows[r][c] for r, c in cells): tab for tab in vertices}
-    words = sorted(by_word)
+    by_word = {tuple([tab.rows[r][c] for r, c in cells]): tab for tab in vertices}
+    by_word = {word: by_word[word] for word in sorted(by_word)}
     edges = []
-    for word in words:
-        tab = by_word[word]
-        for i in range(1, n):
-            closers, _ = _unmatched(word, i)
-            if closers:
-                pos = closers[-1]
-                out = by_word.get(word[:pos] + (i + 1,) + word[pos + 1 :])
-                if out is not None:
-                    edges.append((tab, i, out))
-    return CrystalGraph(
-        lam[: num_parts(lam)], n, tuple(by_word[w] for w in words), tuple(edges)
-    )
+    for word, tab in by_word.items():
+        opened = [0] * (n + 1)
+        closer = {}  # colour -> position of its rightmost unmatched closer
+        for pos, a in enumerate(word):
+            if opened[a]:
+                opened[a] -= 1
+            else:
+                closer[a] = pos
+            opened[a - 1] += 1
+        closer.pop(n, None)  # there is no f_n
+        for i, pos in sorted(closer.items()):
+            out = by_word.get(word[:pos] + (i + 1,) + word[pos + 1 :])
+            if out is not None:
+                edges.append((tab, i, out))
+    return CrystalGraph(lam[: num_parts(lam)], n, tuple(by_word.values()), tuple(edges))
 
 
 def crystal_graph(lam, n: int) -> CrystalGraph:
@@ -122,12 +122,8 @@ def _saturate_heads(current: set[SSYT], i: int) -> set[SSYT]:
     grown = set(current)
     for tab in current:
         if e_op(i, tab) is None:
-            walker = tab
-            while True:
-                walker = f_op(i, walker)
-                if walker is None:
-                    break
-                grown.add(walker)
+            while (tab := f_op(i, tab)) is not None:
+                grown.add(tab)
     return grown
 
 
@@ -174,6 +170,8 @@ def atom_set(alpha, n: int) -> frozenset[SSYT]:
 
 def string_decomposition(graph: CrystalGraph, i: int) -> list[list[SSYT]]:
     """Maximal i-strings, each listed from head to end."""
+    if not 1 <= i < graph.n:
+        raise ValueError(f"crystal operator index {i} out of range for n={graph.n}")
     nxt = {src: dst for src, colour, dst in graph.edges if colour == i}
     has_in = set(nxt.values())
     strings = []
@@ -189,14 +187,12 @@ def string_decomposition(graph: CrystalGraph, i: int) -> list[list[SSYT]]:
 
 def bounded_entry_restriction(crystal: DemazureCrystal, m: int) -> frozenset[SSYT]:
     """The tableaux of the crystal whose entries stay within 1..m."""
-    if m > crystal.n:
-        raise ValueError("entry bound exceeds the alphabet")
+    if not 0 <= m <= crystal.n:
+        raise ValueError(f"entry bound {m} outside 0..{crystal.n}")
     return frozenset(t for t in crystal.vertices if t.max_entry() <= m)
 
 
-_DOT_COLOURS = (
-    "black", "red", "blue", "green", "orange", "purple", "brown", "cyan",
-)
+_DOT_COLOURS = ("black", "red", "blue", "green", "orange", "purple", "brown", "cyan")
 
 
 def _json_template(value, depth: int) -> str:
@@ -215,9 +211,7 @@ def export_graph(graph: CrystalGraph, format: str = "dot") -> str:
     """Deterministic DOT or JSON rendering, vertices labelled by word."""
     if format == "dot":
         labels = {tab: ",".join(map(str, tab.column_word())) for tab in graph.vertices}
-        lines = ["digraph crystal {"]
-        for tab in graph.vertices:
-            lines.append(f'  "{labels[tab]}";')
+        lines = ["digraph crystal {"] + [f'  "{labels[t]}";' for t in graph.vertices]
         for src, colour, dst in graph.edges:
             colour_name = _DOT_COLOURS[(colour - 1) % len(_DOT_COLOURS)]
             lines.append(

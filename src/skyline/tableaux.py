@@ -6,6 +6,8 @@ an explicit alphabet bound ``n``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from operator import itemgetter, le
 
 from .shapes import Composition, is_partition, num_parts
 
@@ -19,6 +21,13 @@ class SSYT:
 
     rows: tuple[tuple[int, ...], ...]
     n: int
+
+    @classmethod
+    def _trusted(cls, rows, n: int) -> SSYT:
+        """A tableau whose rows are known to be valid, built without checks."""
+        tab = object.__new__(cls)
+        tab.__dict__.update(rows=rows, n=n)
+        return tab
 
     def __post_init__(self):
         if self.n < 0:
@@ -148,9 +157,12 @@ def evacuation(tab: SSYT) -> SSYT:
 
 
 def enumerate_ssyt(lam, n: int):
-    """Every SSYT of shape ``lam`` with entries <= n.
+    """Every SSYT of shape ``lam`` with entries <= n, by increasing column word.
 
-    A generator: each call yields the same sequence, in no promised order.
+    A generator.  Columns, read top to bottom, are picked left to right among
+    the decreasing tuples over [n] in lexicographic order, each among those at
+    least the column on its left row by row, a list kept per (left column,
+    height).  The tableaux are valid by construction and skip validation.
     """
     lam = tuple(lam)
     if not is_partition(lam):
@@ -158,27 +170,21 @@ def enumerate_ssyt(lam, n: int):
     lam = lam[: num_parts(lam)]
     if len(lam) > n:
         raise ValueError(f"shape {lam} has more than n={n} rows")
-
-    rows: list[list[int]] = [[] for _ in lam]
-
-    def fill(r: int, c: int):
-        if r == len(lam):
-            yield SSYT(tuple(tuple(row) for row in rows), n)
-            return
-        if c == lam[r]:
-            yield from fill(r + 1, 0)
-            return
-        lo = 1
-        if c > 0:
-            lo = max(lo, rows[r][c - 1])
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, n + 1):
-            rows[r].append(v)
-            yield from fill(r, c + 1)
-            rows[r].pop()
-
-    yield from fill(0, 0)
+    heights = [sum(1 for part in lam if part > c) for c in range(lam[0] if lam else 0)]
+    columns = {h: [*combinations(range(n, 0, -1), h)][::-1] for h in heights}
+    choices: dict = {}
+    fillings = [((0,) * len(lam),)]  # after a column of zeros, dropped below
+    for h in heights:
+        grown = []
+        for cols in fillings:
+            if (cols[-1], h) not in choices:
+                left = cols[-1][-h:]
+                choices[cols[-1], h] = [c for c in columns[h] if all(map(le, left, c))]
+            grown += [cols + (col,) for col in choices[cols[-1], h]]
+        fillings = grown
+    getters = [(itemgetter(-1 - r), length + 1) for r, length in enumerate(lam)]
+    for cols in fillings:
+        yield SSYT._trusted(tuple([tuple(map(g, cols[1:w])) for g, w in getters]), n)
 
 
 def ssyt_to_json(tab: SSYT) -> dict:

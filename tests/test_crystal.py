@@ -32,21 +32,10 @@ from oracles import (
     unique_key_tableau,
     weight_sum,
 )
-from util import partitions_up_to, small_compositions
+from util import BENCH_ALPHAS, BENCH_SHAPES, partitions_up_to, small_compositions
 
 # the highest-weight tableau of B(3, 1) over [3]: row i holds the letter i
 YAM_31 = SSYT(((1, 1, 1), (2,)), 3)
-
-# the (shape, n) pairs and compositions of the bench's crystal workload
-BENCH_SHAPES = [
-    ((4, 2, 1), 6), ((5, 3, 1), 5), ((3, 3), 6), ((4, 2), 5),
-    ((4, 3, 2, 1), 5), ((3, 2, 1), 5), ((2, 2, 1), 6), ((3, 1), 6),
-]
-BENCH_ALPHAS = [
-    (1, 0, 3), (0, 2, 1, 3), (1, 0, 2, 0, 2), (0, 1, 2, 3),
-    (3, 0, 2, 1, 0, 1), (0, 1, 0, 2, 1, 1), (1, 2, 0, 2, 0, 1), (0, 0, 2, 1, 3),
-    (2, 1, 0, 0, 2, 1),
-]
 
 
 def test_f_op_on_yamanouchi():
@@ -248,7 +237,8 @@ def test_induced_graphs_match_the_f_op_oracle():
                 expected = induced_graph_via_f_op(lam, n, vertices)
                 cases.append((demazure_graph(alpha, n), expected))
     assert len(cases) == 261
-    for lam, n in BENCH_SHAPES:
+    # (2, 1) over [12]: most colours occur in no word of a vertex
+    for lam, n in BENCH_SHAPES + [((2, 1), 12), ((3, 2), 7)]:
         expected = induced_graph_via_f_op(lam, n, enumerate_ssyt(lam, n))
         cases.append((crystal_graph(lam, n), expected))
     for alpha in BENCH_ALPHAS:
@@ -258,6 +248,15 @@ def test_induced_graphs_match_the_f_op_oracle():
         cases.append((demazure_graph(alpha, n), expected))
     for graph, expected in cases:
         assert graph == expected
+
+
+def test_crystal_graph_over_a_large_alphabet():
+    # one letter per vertex over [2000]: the chain 1 -1-> 2 -2-> ... -> 2000
+    g = crystal_graph((1,), 2000)
+    assert [t.rows for t in g.vertices] == [((i,),) for i in range(1, 2001)]
+    assert [(s.rows, c, d.rows) for s, c, d in g.edges] == [
+        (((i,),), i, ((i + 1,),)) for i in range(1, 2000)
+    ]
 
 
 def test_string_decomposition():
@@ -275,6 +274,15 @@ def test_string_decomposition():
             head = SparsePoly.monomial(1, s[0].content())
             assert apply_op_word((colour,), head) == weight_sum(s, 3)
     assert all(s[0] == YAM_31 for s in string_decomposition(g, 1) if YAM_31 in s)
+
+
+def test_string_decomposition_rejects_colours_outside_the_alphabet():
+    g = crystal_graph((2, 1), 3)
+    for colour in (0, -1, 3, 9):
+        with pytest.raises(ValueError, match="out of range"):
+            string_decomposition(g, colour)
+    with pytest.raises(ValueError):
+        string_decomposition(crystal_graph((1,), 1), 1)
 
 
 def test_string_trichotomy():
@@ -312,6 +320,15 @@ def test_bounded_entry_restriction_worked_example():
         omitted, SparsePoly.monomial(1, (2, 1, 1, 0, 0))
     )
     assert bounded_entry_restriction(big, 5) == big.vertices
+
+
+def test_bounded_entry_restriction_rejects_bounds_outside_the_alphabet():
+    crystal = demazure_crystal((0, 1, 2), 3)
+    assert bounded_entry_restriction(crystal, 0) == frozenset()
+    assert bounded_entry_restriction(crystal, 3) == crystal.vertices
+    for m in (-1, -5, 4):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            bounded_entry_restriction(crystal, m)
 
 
 def test_export_graph_formats():

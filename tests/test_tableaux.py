@@ -14,7 +14,7 @@ from skyline.tableaux import (
     ssyt_to_json,
 )
 from oracles import is_key_by_columns
-from util import partitions_up_to, small_compositions
+from util import BENCH_SHAPES, partitions_up_to, small_compositions
 
 T_RAGGED = SSYT(((1, 1, 2, 3), (2, 3), (3, 4)), 4)  # shape (4, 2, 2)
 T_BIG = SSYT(((1, 1, 1, 3), (2, 3, 4), (3, 4), (5,)), 5)
@@ -157,6 +157,21 @@ def test_enumerate_ssyt_matches_brute_force():
         for lam in partitions_up_to(6, n, include_empty=False):
             got = {t.rows for t in enumerate_ssyt(lam, n)}
             assert got == brute_force_ssyt(lam, n)
+
+
+def test_enumerate_ssyt_builds_valid_tableaux_by_increasing_column_word():
+    # the enumeration skips validation: each tableau must pass it unchanged
+    cases = [(lam, n) for n in range(5) for lam in partitions_up_to(6, n)]
+    cases += BENCH_SHAPES
+    for lam, n in cases:
+        tabs = list(enumerate_ssyt(lam, n))
+        for tab in tabs:
+            checked = SSYT(tab.rows, tab.n)
+            assert checked == tab and hash(checked) == hash(tab)
+            assert all(type(row) is tuple for row in tab.rows)
+        words = [tab.column_word() for tab in tabs]
+        assert all(a < b for a, b in zip(words, words[1:]))
+    assert len(cases) == 82
 
 
 def test_enumerate_ssyt_deterministic_and_restartable():

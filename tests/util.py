@@ -1,6 +1,17 @@
 """Shared enumeration helpers for the test suite."""
 import itertools
 
+# the (shape, n) pairs and compositions of the bench's crystal workload
+BENCH_SHAPES = [
+    ((4, 2, 1), 6), ((5, 3, 1), 5), ((3, 3), 6), ((4, 2), 5),
+    ((4, 3, 2, 1), 5), ((3, 2, 1), 5), ((2, 2, 1), 6), ((3, 1), 6),
+]
+BENCH_ALPHAS = [
+    (1, 0, 3), (0, 2, 1, 3), (1, 0, 2, 0, 2), (0, 1, 2, 3),
+    (3, 0, 2, 1, 0, 1), (0, 1, 0, 2, 1, 1), (1, 2, 0, 2, 0, 1), (0, 0, 2, 1, 3),
+    (2, 1, 0, 0, 2, 1),
+]
+
 
 def small_compositions(max_len, max_entry, min_len=0):
     """All compositions with length and entries in the given bounds."""
