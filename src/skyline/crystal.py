@@ -1,59 +1,60 @@
 """Crystal operators on tableaux, crystal graphs, and Demazure crystals.
 
-The operators act through bracket matching on the column word: each letter
-i closes, each i+1 opens, and after matching f_i raises the rightmost
-unmatched i while e_i lowers the leftmost unmatched i+1.
+Everything here works on column words, which determine a tableau of a
+given shape.  Letter i closes and i+1 opens colour i; after bracketing, f_i
+raises the rightmost unmatched i and e_i lowers the leftmost unmatched i+1.
 """
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .demazure import sorting_step
 from .fillings import psi
-from .shapes import Composition, decreasing_rearrangement, num_parts
-from .tableaux import SSYT, enumerate_ssyt, key_tableau
-
-def _replace_letter(tab: SSYT, cell: tuple[int, int], letter: int) -> SSYT:
-    r, c = cell
-    rows = list(tab.rows)
-    rows[r] = rows[r][:c] + (letter,) + rows[r][c + 1 :]
-    return SSYT(tuple(rows), tab.n)
+from .shapes import Composition, composition
+from .tableaux import SSYT, column_words, key_tableau, word_to_rows
 
 
-def _unmatched(word, i: int) -> tuple[list[int], list[int]]:
-    """Positions in ``word`` of the unmatched i (closers) and i+1 (openers)."""
-    closers: list[int] = []
-    openers: list[int] = []
-    for pos, letter in enumerate(word):
-        if letter == i + 1:
-            openers.append(pos)
-        elif letter == i:
-            if openers:
-                openers.pop()
-            else:
-                closers.append(pos)
-    return closers, openers
+def _brackets(word) -> tuple[list[int], dict[int, int]]:
+    """One left-to-right pass that brackets every colour of ``word`` at once:
+    letter a closes colour a and opens colour a - 1.  Returns the positions
+    of the unmatched closers, each of its letter's colour, and per colour
+    that occurs the number of its unmatched openers."""
+    opened: dict[int, int] = defaultdict(int)
+    closers = []
+    for pos, a in enumerate(word):
+        if opened[a]:
+            opened[a] -= 1
+        else:
+            closers.append(pos)
+        opened[a - 1] += 1
+    return closers, opened
+
+
+def _operate(i: int, tab: SSYT, raising: bool) -> SSYT | None:
+    """f_i, or e_i as f_(n-i) on the word reversed with each letter a made
+    n + 1 - a, which turns the brackets of colour i into those of n - i."""
+    n = tab.n
+    if not 1 <= i < n:
+        raise ValueError(f"crystal operator index {i} out of range for n={n}")
+    flip = (lambda w: w) if raising else (lambda w: tuple([n + 1 - a for a in w[::-1]]))
+    word, colour = flip(tab.column_word()), (i if raising else n - i)
+    found = [pos for pos in _brackets(word)[0] if word[pos] == colour]
+    if not found:
+        return None
+    word = word[: found[-1]] + (colour + 1,) + word[found[-1] + 1 :]
+    return SSYT._trusted(word_to_rows(tab.shape)(flip(word)), n)
 
 
 def f_op(i: int, tab: SSYT) -> SSYT | None:
     """Raise the rightmost unmatched i to i+1, or None at a string end."""
-    if not 1 <= i < tab.n:
-        raise ValueError(f"crystal operator index {i} out of range for n={tab.n}")
-    closers, _ = _unmatched(tab.column_word(), i)
-    if not closers:
-        return None
-    return _replace_letter(tab, tab.column_cells()[closers[-1]], i + 1)
+    return _operate(i, tab, True)
 
 
 def e_op(i: int, tab: SSYT) -> SSYT | None:
     """Lower the leftmost unmatched i+1 to i, or None at a string head."""
-    if not 1 <= i < tab.n:
-        raise ValueError(f"crystal operator index {i} out of range for n={tab.n}")
-    _, openers = _unmatched(tab.column_word(), i)
-    if not openers:
-        return None
-    return _replace_letter(tab, tab.column_cells()[openers[0]], i)
+    return _operate(i, tab, False)
 
 
 @dataclass(frozen=True)
@@ -75,36 +76,22 @@ class DemazureCrystal:
     vertices: frozenset[SSYT]
 
 
-def _induced_graph(lam, n: int, vertices) -> CrystalGraph:
-    """The subgraph of B(lam) induced on ``vertices``, all of shape ``lam``.
-
-    Vertices are listed in column-word order, edges ``(tab, i, f_i(tab))`` by
-    source position and then colour, keeping those whose target is a vertex.
-    A tableau of a given shape is determined by its column word, so f_i acts
-    on the word and its target is looked up by the changed word: no tableau
-    is built per edge.  One pass over a word matches all colours: letter a
-    opens colour a - 1 and closes colour a.
+def _induced_graph(lam, n: int, words) -> CrystalGraph:
+    """The subgraph of B(lam), ``lam`` without zero parts, induced on the
+    tableaux with these column words: vertices by word, edges ``(tab, i,
+    f_i(tab))`` by source position and then colour.  Each target is looked
+    up by its changed word, so no tableau is built per edge.
     """
-    vertices = list(vertices)
-    cells = vertices[0].column_cells() if vertices else []
-    by_word = {tuple([tab.rows[r][c] for r, c in cells]): tab for tab in vertices}
-    by_word = {word: by_word[word] for word in sorted(by_word)}
+    rows = word_to_rows(lam)
+    by_word = {word: SSYT._trusted(rows(word), n) for word in sorted(words)}
     edges = []
     for word, tab in by_word.items():
-        opened = [0] * (n + 1)
-        closer = {}  # colour -> position of its rightmost unmatched closer
-        for pos, a in enumerate(word):
-            if opened[a]:
-                opened[a] -= 1
-            else:
-                closer[a] = pos
-            opened[a - 1] += 1
-        closer.pop(n, None)  # there is no f_n
-        for i, pos in sorted(closer.items()):
+        last = {word[pos]: pos for pos in _brackets(word)[0]}  # per colour
+        for i, pos in sorted(last.items()):
             out = by_word.get(word[:pos] + (i + 1,) + word[pos + 1 :])
-            if out is not None:
+            if out is not None:  # never for colour n: no vertex holds n + 1
                 edges.append((tab, i, out))
-    return CrystalGraph(lam[: num_parts(lam)], n, tuple(by_word.values()), tuple(edges))
+    return CrystalGraph(lam, n, tuple(by_word.values()), tuple(edges))
 
 
 def crystal_graph(lam, n: int) -> CrystalGraph:
@@ -113,30 +100,13 @@ def crystal_graph(lam, n: int) -> CrystalGraph:
     >>> len(crystal_graph((2, 1), 3).vertices)
     8
     """
-    lam = tuple(lam)
-    return _induced_graph(lam, n, enumerate_ssyt(lam, n))
+    lam, words = column_words(lam, n)
+    return _induced_graph(lam, n, words)
 
 
-def _saturate_heads(current: set[SSYT], i: int) -> set[SSYT]:
-    """Extend a vertex set by the full i-string of each of its heads."""
-    grown = set(current)
-    for tab in current:
-        if e_op(i, tab) is None:
-            while (tab := f_op(i, tab)) is not None:
-                grown.add(tab)
-    return grown
-
-
-def demazure_crystal(alpha, n: int) -> DemazureCrystal:
-    """The recursion of the key polynomial, with string saturation as pi_i.
-
-    For a weakly decreasing ``alpha`` this is the single highest-weight
-    tableau, its key tableau; otherwise it is the crystal of the sorting
-    step's swapped composition with the heads of its i-strings saturated.
-    The reversed partition fills the graph.  The recursion is unrolled, so
-    a long sorting chain does not reach Python's recursion limit.
-    """
-    alpha = tuple(alpha)
+def _demazure_words(alpha, n: int):
+    """``alpha``, and the shape and column words of its Demazure crystal."""
+    alpha = composition(alpha)
     if len(alpha) != n:
         raise ValueError(f"composition length {len(alpha)} != n = {n}")
     indices = []
@@ -144,16 +114,38 @@ def demazure_crystal(alpha, n: int) -> DemazureCrystal:
     while (step := sorting_step(dominant)) is not None:
         i, dominant = step
         indices.append(i)
-    vertices = {key_tableau(dominant)}
+    key = key_tableau(dominant)
+    words = {key.column_word()}
     for i in reversed(indices):
-        vertices = _saturate_heads(vertices, i)
-    return DemazureCrystal(alpha, n, frozenset(vertices))
+        for word in list(words):
+            closers, opened = _brackets(word)
+            if not opened[i]:  # a head: f_i^k raises the k last closers
+                word = list(word)
+                for pos in reversed([pos for pos in closers if word[pos] == i]):
+                    word[pos] = i + 1
+                    words.add(tuple(word))
+    return alpha, key.shape, words
+
+
+def demazure_crystal(alpha, n: int) -> DemazureCrystal:
+    """The recursion of the key polynomial, with string saturation as pi_i.
+
+    For a weakly decreasing ``alpha`` this is the single highest-weight
+    tableau, its key tableau; otherwise it is the crystal of the sorting
+    step's swapped composition with the heads of its i-strings saturated:
+    in a head f_i^k raises the k rightmost unmatched i, so one bracket pass
+    gives a string.  The recursion is unrolled, so a long sorting chain
+    does not reach Python's recursion limit.
+    """
+    alpha, shape, words = _demazure_words(alpha, n)
+    rows = word_to_rows(shape)
+    return DemazureCrystal(alpha, n, frozenset(SSYT._trusted(rows(w), n) for w in words))
 
 
 def demazure_graph(alpha, n: int) -> CrystalGraph:
     """The subgraph of B(lambda) induced on the Demazure crystal of ``alpha``."""
-    vertices = demazure_crystal(alpha, n).vertices
-    return _induced_graph(decreasing_rearrangement(alpha), n, vertices)
+    _, shape, words = _demazure_words(alpha, n)
+    return _induced_graph(shape, n, words)
 
 
 def atom_set(alpha, n: int) -> frozenset[SSYT]:
@@ -162,10 +154,8 @@ def atom_set(alpha, n: int) -> frozenset[SSYT]:
     These are the tableaux with right key ``key(alpha)``, since the right
     key of T is the key tableau of the shape of psi(T) (Mason).
     """
-    alpha = tuple(alpha)
-    return frozenset(
-        t for t in demazure_crystal(alpha, n).vertices if psi(t).shape == alpha
-    )
+    crystal = demazure_crystal(alpha, n)
+    return frozenset(t for t in crystal.vertices if psi(t).shape == crystal.alpha)
 
 
 def string_decomposition(graph: CrystalGraph, i: int) -> list[list[SSYT]]:

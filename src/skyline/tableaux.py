@@ -6,10 +6,10 @@ an explicit alphabet bound ``n``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, zip_longest
 from operator import itemgetter, le
 
-from .shapes import Composition, is_partition, num_parts
+from .shapes import Composition, composition, is_partition, num_parts
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,10 @@ class SSYT:
     def size(self) -> int:
         return sum(len(r) for r in self.rows)
 
-    def column_cells(self) -> list[tuple[int, int]]:
-        """Cells (row, col) of each column top to bottom, columns left to right."""
-        width = len(self.rows[0]) if self.rows else 0
-        top_down = range(len(self.rows) - 1, -1, -1)
-        return [(r, c) for c in range(width) for r in top_down if len(self.rows[r]) > c]
-
     def column_word(self) -> tuple[int, ...]:
-        """The entries in :meth:`column_cells` order."""
-        return tuple(self.rows[r][c] for r, c in self.column_cells())
+        """The entries column by column, left to right, each read top to bottom."""
+        # entries are positive, so the filter drops only the short rows' padding
+        return tuple(filter(None, chain.from_iterable(zip_longest(*self.rows[::-1]))))
 
     def content(self) -> Composition:
         """Multiplicity vector of the letters 1..n."""
@@ -93,13 +88,9 @@ def key_columns(gamma) -> list[tuple[int, ...]]:
 
 def key_tableau(gamma) -> SSYT:
     """The unique key tableau with content ``gamma`` (shape is its sort)."""
-    gamma = tuple(gamma)
-    cols = key_columns(gamma)
-    height = len(cols[0]) if cols else 0
-    rows = tuple(
-        tuple(col[r] for col in cols if len(col) > r) for r in range(height)
-    )
-    return SSYT(rows, len(gamma))
+    gamma = composition(gamma)
+    rows = zip_longest(*key_columns(gamma))  # row r: entry r of each column, or None
+    return SSYT(tuple(tuple(filter(None, row)) for row in rows), len(gamma))
 
 
 def is_key(tab: SSYT) -> bool:
@@ -156,15 +147,13 @@ def evacuation(tab: SSYT) -> SSYT:
     return insert_word(word, n)
 
 
-def enumerate_ssyt(lam, n: int):
-    """Every SSYT of shape ``lam`` with entries <= n, by increasing column word.
-
-    A generator.  Columns, read top to bottom, are picked left to right among
-    the decreasing tuples over [n] in lexicographic order, each among those at
-    least the column on its left row by row, a list kept per (left column,
-    height).  The tableaux are valid by construction and skip validation.
+def column_words(lam, n: int) -> tuple[Composition, list[tuple[int, ...]]]:
+    """``lam`` without zero parts, and the increasing column words of every
+    SSYT of that shape over [n].  Columns, read top to bottom, are picked
+    left to right among the decreasing tuples over [n] in lexicographic
+    order, each among those at least the column on its left row by row.
     """
-    lam = tuple(lam)
+    lam = composition(lam)
     if not is_partition(lam):
         raise ValueError(f"not a partition: {lam!r}")
     lam = lam[: num_parts(lam)]
@@ -173,18 +162,37 @@ def enumerate_ssyt(lam, n: int):
     heights = [sum(1 for part in lam if part > c) for c in range(lam[0] if lam else 0)]
     columns = {h: [*combinations(range(n, 0, -1), h)][::-1] for h in heights}
     choices: dict = {}
-    fillings = [((0,) * len(lam),)]  # after a column of zeros, dropped below
+    words = [()]
     for h in heights:
         grown = []
-        for cols in fillings:
-            if (cols[-1], h) not in choices:
-                left = cols[-1][-h:]
-                choices[cols[-1], h] = [c for c in columns[h] if all(map(le, left, c))]
-            grown += [cols + (col,) for col in choices[cols[-1], h]]
-        fillings = grown
-    getters = [(itemgetter(-1 - r), length + 1) for r, length in enumerate(lam)]
-    for cols in fillings:
-        yield SSYT._trusted(tuple([tuple(map(g, cols[1:w])) for g, w in getters]), n)
+        for word in words:
+            left = word[-h:]  # the left column's bottom h entries; none at first
+            if left not in choices:
+                choices[left] = [c for c in columns[h] if all(map(le, left, c))]
+            grown += [word + c for c in choices[left]]
+        words = grown
+    return lam, words
+
+
+def word_to_rows(lam):
+    """The map from a column word of shape ``lam``, a partition without zero
+    parts, to its tableau's rows: ``word_to_rows((2, 1))((2, 1, 1))`` is
+    ``((1, 1), (2,))``."""
+    top_down = range(len(lam) - 1, -1, -1)
+    row_of = [r for c in range(lam[0] if lam else 0) for r in top_down if lam[r] > c]
+    rows = [[pos for pos, r in enumerate(row_of) if r == row] for row in range(len(lam))]
+    # an itemgetter of one position returns the entry itself, not a 1-tuple
+    get = [itemgetter(*row) if len(row) > 1 else (lambda w, p=row[0]: (w[p],)) for row in rows]
+    return lambda word: tuple([g(word) for g in get])
+
+
+def enumerate_ssyt(lam, n: int):
+    """Every SSYT of shape ``lam`` with entries <= n, by increasing column word:
+    a generator of tableaux valid by construction, so built unchecked."""
+    lam, words = column_words(lam, n)
+    rows = word_to_rows(lam)
+    for word in words:
+        yield SSYT._trusted(rows(word), n)
 
 
 def ssyt_to_json(tab: SSYT) -> dict:

@@ -10,13 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from skyline.crystal import (
-    CrystalGraph,
-    _saturate_heads,
-    crystal_graph,
-    demazure_crystal,
-    f_op,
-)
+from skyline.crystal import CrystalGraph, crystal_graph, demazure_crystal
 from skyline.fillings import SSAF, _basics_ok, validate
 from skyline.kernel import KernelInstance, kernel_lhs, kernel_rhs
 from skyline.permutations import orbit_bruhat_leq
@@ -272,15 +266,66 @@ def verify_by_whole_polynomials(inst: KernelInstance, d: int) -> WholeExpansionR
     return WholeExpansionReport(inst.n, inst.m, inst.k, d, lhs, rhs, equal, first_diff)
 
 
+def cells_in_column_order(tab: SSYT) -> list[tuple[int, int]]:
+    """Cells (row, col) of each column top to bottom, columns left to right."""
+    width = len(tab.rows[0]) if tab.rows else 0
+    top_down = range(len(tab.rows) - 1, -1, -1)
+    return [(r, c) for c in range(width) for r in top_down if len(tab.rows[r]) > c]
+
+
+def unmatched_positions(word, i: int) -> tuple[list[int], list[int]]:
+    """Positions in ``word`` of the unmatched i (closers) and i+1 (openers)."""
+    closers: list[int] = []
+    openers: list[int] = []
+    for pos, letter in enumerate(word):
+        if letter == i + 1:
+            openers.append(pos)
+        elif letter == i:
+            if openers:
+                openers.pop()
+            else:
+                closers.append(pos)
+    return closers, openers
+
+
+def _bracket_one_colour(i: int, tab: SSYT, raising: bool):
+    """f_i (``raising``) or e_i by bracketing colour i alone on the cells."""
+    cells = cells_in_column_order(tab)
+    closers, openers = unmatched_positions([tab.rows[r][c] for r, c in cells], i)
+    found = closers[-1:] if raising else openers[:1]
+    if not found:
+        return None
+    r, c = cells[found[0]]
+    rows = list(tab.rows)
+    rows[r] = rows[r][:c] + (i + 1 if raising else i,) + rows[r][c + 1 :]
+    return SSYT(tuple(rows), tab.n)
+
+
+def reference_f(i: int, tab: SSYT):
+    """Raise the rightmost unmatched i to i+1, or None at a string end."""
+    return _bracket_one_colour(i, tab, True)
+
+
+def reference_e(i: int, tab: SSYT):
+    """Lower the leftmost unmatched i+1 to i, or None at a string head."""
+    return _bracket_one_colour(i, tab, False)
+
+
 def demazure_vertices_along(word, alpha) -> frozenset[SSYT]:
     """Saturate string heads from the dominant key tableau along ``word``.
 
     The rightmost letter acts first; a reduced word of ``min_coset_rep(alpha)``
-    gives the Demazure crystal of ``alpha``.
+    gives the Demazure crystal of ``alpha``.  Each string is walked one
+    ``reference_f`` at a time from a head, where ``reference_e`` is None.
     """
     current = {key_tableau(decreasing_rearrangement(alpha))}
     for i in reversed(word):
-        current = _saturate_heads(current, i)
+        grown = set(current)
+        for tab in current:
+            if reference_e(i, tab) is None:
+                while (tab := reference_f(i, tab)) is not None:
+                    grown.add(tab)
+        current = grown
     return frozenset(current)
 
 
@@ -521,18 +566,21 @@ def demazure_graph_by_filtering(alpha, n: int) -> CrystalGraph:
 
 
 def induced_graph_via_f_op(lam, n: int, vertices) -> CrystalGraph:
-    """The subgraph of B(lam) induced on ``vertices``, one ``f_op`` per edge.
+    """The subgraph of B(lam) induced on ``vertices``, one ``reference_f`` per edge.
 
     Vertices are listed in column-word order, edges ``(tab, i, f_i(tab))`` by
     source position and then colour, keeping those whose target is a vertex.
     """
-    vertices = tuple(sorted(vertices, key=SSYT.column_word))
+    def word(tab):
+        return [tab.rows[r][c] for r, c in cells_in_column_order(tab)]
+
+    vertices = tuple(sorted(vertices, key=word))
     members = frozenset(vertices)
     edges = tuple(
         (tab, i, out)
         for tab in vertices
         for i in range(1, n)
-        if (out := f_op(i, tab)) in members
+        if (out := reference_f(i, tab)) in members
     )
     return CrystalGraph(lam[: num_parts(lam)], n, vertices, edges)
 

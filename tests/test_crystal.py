@@ -22,6 +22,8 @@ from skyline.shapes import decreasing_rearrangement, reverse
 from skyline.tableaux import SSYT, enumerate_ssyt, key_tableau, ssyt_to_json
 from oracles import (
     all_reduced_words,
+    reference_e,
+    reference_f,
     atom_set_by_subtraction,
     demazure_graph_by_filtering,
     demazure_vertices_along,
@@ -62,6 +64,18 @@ def test_f_e_roundtrip_shape21():
             back = e_op(i, tab)
             if back is not None:
                 assert f_op(i, back) == tab
+
+
+def test_operators_match_the_one_colour_reference():
+    cases = [(lam, n) for n in (1, 2, 3, 4) for lam in partitions_up_to(5, n)]
+    checked = 0
+    for lam, n in cases + BENCH_SHAPES:
+        for tab in enumerate_ssyt(lam, n):
+            for i in range(1, n):
+                assert f_op(i, tab) == reference_f(i, tab)
+                assert e_op(i, tab) == reference_e(i, tab)
+                checked += 1
+    assert checked == 35_403
 
 
 def test_crystal_graph_sizes_and_degrees():
@@ -116,6 +130,22 @@ def test_demazure_crystal_examples():
 def test_demazure_crystal_requires_full_length():
     with pytest.raises(ValueError):
         demazure_crystal((1, 0, 3), 4)
+
+
+def test_crystal_inputs_must_be_weak_compositions():
+    for call in (
+        lambda: key_tableau((-1, 2)),
+        lambda: list(enumerate_ssyt((2, -1), 2)),
+        lambda: crystal_graph((2, -1), 2),
+        lambda: demazure_crystal((-1, 2), 2),
+        lambda: demazure_crystal((1.5, 0), 2),
+        lambda: demazure_graph((0, -1), 2),
+        lambda: atom_set((True, 0), 2),
+    ):
+        with pytest.raises(ValueError, match="not a weak composition"):
+            call()
+    with pytest.raises(ValueError, match=r"not a partition: \(1, 2\)"):
+        crystal_graph((1, 2), 3)
 
 
 def test_demazure_crystal_monotone_and_union():
@@ -256,6 +286,15 @@ def test_crystal_graph_over_a_large_alphabet():
     assert [t.rows for t in g.vertices] == [((i,),) for i in range(1, 2001)]
     assert [(s.rows, c, d.rows) for s, c, d in g.edges] == [
         (((i,),), i, ((i + 1,),)) for i in range(1, 2000)
+    ]
+
+
+def test_demazure_graph_over_a_large_alphabet():
+    # the crystal of (0, ..., 0, 1) over [300] is all of B(1): the chain of letters
+    g = demazure_graph((0,) * 299 + (1,), 300)
+    assert [t.rows for t in g.vertices] == [((i,),) for i in range(1, 301)]
+    assert [(s.rows, c, d.rows) for s, c, d in g.edges] == [
+        (((i,),), i, ((i + 1,),)) for i in range(1, 300)
     ]
 
 
