@@ -11,7 +11,8 @@ y-polynomial, built, compared and dropped before the next ``a``.  In that
 pass a y-exponent is one int whose digits, in a base above every exponent
 on either side, are its entries with ``y_1`` most significant; so a
 product of monomials is a sum of ints, and int order is lexicographic
-order.  ``kernel_lhs`` and ``kernel_rhs`` build the two whole polynomials.
+order.  ``kernel_lhs`` and ``kernel_rhs`` are views of the same walk: each
+puts one side's buckets together into a two-alphabet polynomial.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .demazure import atom, key_polynomial
-from .polynomials import SparsePoly, pair_product, poly_sum
+from .polynomials import SparsePoly
 from .shapes import (
     Composition,
     compositions_with_sum,
@@ -60,7 +61,11 @@ def alpha_vector(mu, n: int, m: int, k: int) -> Composition:
 
     Scanning i = k down to 1, entry i is the maximum over the last
     min(i, n-m+1) surviving entries of the reversed ``mu``; the rightmost
-    occurrence of that maximum is then removed.
+    occurrence of that maximum is then removed.  On the staircase the
+    window is 1, so the index is the reversal:
+
+    >>> alpha_vector((1, 0, 2), 3, 3, 3)
+    (2, 0, 1)
     """
     KernelInstance(n, m, k)
     if not k <= m:
@@ -132,25 +137,14 @@ class ExpansionReport:
 
 
 def kernel_lhs(inst: KernelInstance, d: int) -> SparsePoly:
-    """Truncated product of the geometric series, one per shape cell.
+    """The truncated product of the geometric series, one per shape cell:
+    the left buckets of ``split_by_x`` as one polynomial in x (rows) and y
+    (columns).
 
-    Variables: x indexed by rows (k of them), y by columns (m of them).
-    The cells of row i share x_i, so their series multiply to the row
-    factor sum_t x_i^t h_t(y_1..y_{lambda_i}); the k row factors are folded
-    with a product that builds no term above degree d.
+    >>> print(kernel_lhs(KernelInstance(1, 1, 1), 2))
+    1 + x^(1)y^(1) + x^(2)y^(2)
     """
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    k, m = inst.k, inst.m
-    total = SparsePoly.one(k, m)
-    for i, length in enumerate(inst.shape):
-        row_terms = {}
-        for t in range(d + 1):
-            xexp = (0,) * i + (t,) + (0,) * (k - i - 1)
-            for yexp in compositions_with_sum(t, length):
-                row_terms[xexp + yexp + (0,) * (m - length)] = 1
-        total = total.truncated_mul(SparsePoly(k, row_terms, m), d)
-    return total
+    return _whole_side(inst, d, 0)
 
 
 def rhs_pairs(inst: KernelInstance, d: int):
@@ -172,15 +166,19 @@ def rhs_pairs(inst: KernelInstance, d: int):
 
 
 def kernel_rhs(inst: KernelInstance, d: int) -> SparsePoly:
-    """Atom-times-character expansion, truncated to total degree d.
+    """The atom-times-character expansion truncated to total degree d: the
+    right buckets of ``split_by_x`` as one polynomial."""
+    return _whole_side(inst, d, 1)
 
-    Each term is homogeneous of equal x- and y-degree, so summing over
-    atom indices of size at most d is the exact truncation.
-    """
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    products = (pair_product(px, py) for px, py in rhs_pairs(inst, d))
-    return poly_sum(products, inst.k, inst.m)
+
+def _whole_side(inst: KernelInstance, d: int, side: int) -> SparsePoly:
+    """The left (0) or right (1) buckets of ``split_by_x``, put together."""
+    base, buckets = split_by_x(inst, d)
+    terms = {}
+    for a, *polys in buckets:
+        for p, c in polys[side].items():
+            terms[a + _unpack(p, base, inst.m)] = c
+    return SparsePoly(inst.k, terms, inst.m)
 
 
 def split_by_x(inst: KernelInstance, d: int):

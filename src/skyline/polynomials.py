@@ -6,7 +6,6 @@ Values are immutable by convention: every operation builds a new one.
 """
 from __future__ import annotations
 
-from math import inf
 from operator import add
 
 
@@ -83,7 +82,13 @@ class SparsePoly:
             return SparsePoly(
                 self.nx, {k: c * other for k, c in self.terms.items()}, self.ny
             )
-        return self.truncated_mul(other, inf)
+        self._check_compatible(other)
+        terms: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = tuple(map(add, k1, k2))
+                terms[key] = terms.get(key, 0) + c1 * c2
+        return SparsePoly(self.nx, terms, self.ny)
 
     __rmul__ = __mul__
 
@@ -94,40 +99,6 @@ class SparsePoly:
         nx = self.nx
         return SparsePoly(
             nx, {k: c for k, c in self.terms.items() if sum(k[:nx]) <= d}, self.ny
-        )
-
-    def truncated_mul(self, other: "SparsePoly", d) -> "SparsePoly":
-        """``(self * other).truncate(d)`` without building the dropped terms.
-
-        ``other``'s terms are grouped by x-degree, so a term of ``self`` of
-        degree s visits only the groups of degree <= d - s. ``__mul__``
-        calls this with ``d = inf``: it is the one product loop.
-        """
-        if d < 0:
-            raise ValueError("truncation degree must be non-negative")
-        self._check_compatible(other)
-        nx = self.nx
-        groups: dict[int, list] = {}
-        for key, coeff in other.terms.items():
-            groups.setdefault(sum(key[:nx]), []).append((key, coeff))
-        terms: dict = {}
-        for k1, c1 in self.terms.items():
-            room = d - sum(k1[:nx])
-            for degree, group in groups.items():
-                if degree > room:
-                    continue
-                for k2, c2 in group:
-                    key = tuple(map(add, k1, k2))
-                    terms[key] = terms.get(key, 0) + c1 * c2
-        return SparsePoly(nx, terms, self.ny)
-
-    def swap_alphabets(self) -> "SparsePoly":
-        """Exchange the roles of x and y (two-alphabet polynomials only)."""
-        if self.ny is None:
-            raise ValueError("single-alphabet polynomial has nothing to swap")
-        nx = self.nx
-        return SparsePoly(
-            self.ny, {k[nx:] + k[:nx]: c for k, c in self.terms.items()}, nx
         )
 
     def sorted_terms(self):
@@ -187,54 +158,3 @@ def poly_sum(parts, nx: int, ny: int | None = None) -> SparsePoly:
         for key, coeff in part.terms.items():
             terms[key] = terms.get(key, 0) + coeff
     return SparsePoly(nx, terms, ny)
-
-
-def _json_exponents(item: dict, field: str) -> tuple[int, ...]:
-    value = item[field]
-    if not isinstance(value, list) or not all(type(e) is int and e >= 0 for e in value):
-        raise ValueError(f"{field!r} must list non-negative integers, got {value!r}")
-    return tuple(value)
-
-
-def poly_from_json(data) -> SparsePoly:
-    """Rebuild a polynomial from its JSON term list; the first term fixes the arity.
-
-    Raises ``ValueError`` on input that :meth:`SparsePoly.to_json` never
-    writes: a term that is not an object with ``coeff`` and ``x_exp``, a
-    coefficient that is not an integer, an exponent that is not a
-    non-negative integer, or the same exponent key twice.
-    """
-    if not isinstance(data, list):
-        raise ValueError(f"expected a JSON list of terms, got {type(data).__name__}")
-    terms = {}
-    arity = None
-    for item in data:
-        if not isinstance(item, dict) or not {"coeff", "x_exp"} <= item.keys():
-            raise ValueError(f"term {item!r} is not an object with 'coeff' and 'x_exp'")
-        if type(item["coeff"]) is not int:
-            raise ValueError(f"coefficient {item['coeff']!r} is not an integer")
-        xexp = _json_exponents(item, "x_exp")
-        yexp = _json_exponents(item, "y_exp") if "y_exp" in item else None
-        shape = (len(xexp), None if yexp is None else len(yexp))
-        if arity is None:
-            arity = shape
-        elif shape != arity:
-            raise ValueError(f"term {item} does not match arity {arity}")
-        key = xexp + (yexp or ())
-        if key in terms:
-            raise ValueError(f"term {item} repeats an earlier exponent key")
-        terms[key] = item["coeff"]
-    if arity is None:
-        raise ValueError("cannot infer arity from an empty term list")
-    return SparsePoly(arity[0], terms, arity[1])
-
-
-def pair_product(px: SparsePoly, py: SparsePoly) -> SparsePoly:
-    """Outer product of an x-polynomial and a y-polynomial."""
-    if px.ny is not None or py.ny is not None:
-        raise ValueError("pair_product expects two single-alphabet polynomials")
-    terms = {}
-    for xexp, cx in px.terms.items():
-        for yexp, cy in py.terms.items():
-            terms[xexp + yexp] = cx * cy
-    return SparsePoly(px.nx, terms, py.nx)

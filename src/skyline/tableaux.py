@@ -188,11 +188,11 @@ def word_to_rows(lam):
 
 def enumerate_ssyt(lam, n: int):
     """Every SSYT of shape ``lam`` with entries <= n, by increasing column word:
-    a generator of tableaux valid by construction, so built unchecked."""
+    a generator of tableaux valid by construction, so built unchecked.  A
+    bad shape is rejected by the call itself."""
     lam, words = column_words(lam, n)
     rows = word_to_rows(lam)
-    for word in words:
-        yield SSYT._trusted(rows(word), n)
+    return (SSYT._trusted(rows(word), n) for word in words)
 
 
 def ssyt_to_json(tab: SSYT) -> dict:

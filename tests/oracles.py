@@ -9,13 +9,20 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import add
 
 from skyline.crystal import CrystalGraph, crystal_graph, demazure_crystal
 from skyline.fillings import SSAF, _basics_ok, validate
-from skyline.kernel import KernelInstance, kernel_lhs, kernel_rhs
+from skyline.kernel import KernelInstance, rhs_pairs
 from skyline.permutations import orbit_bruhat_leq
-from skyline.polynomials import SparsePoly
-from skyline.shapes import Composition, decreasing_rearrangement, num_parts, reverse
+from skyline.polynomials import SparsePoly, poly_sum
+from skyline.shapes import (
+    Composition,
+    compositions_with_sum,
+    decreasing_rearrangement,
+    num_parts,
+    reverse,
+)
 from skyline.tableaux import SSYT, enumerate_ssyt, is_key, key_columns, key_tableau
 
 # Permutations are tuples in one-line notation with values 1..n.  A
@@ -205,6 +212,119 @@ def alpha_via_sorting(mu, n: int, m: int, k: int) -> Composition:
     return apply_word(tuple(i for i in word if i < m), start)
 
 
+def truncated_product(p: SparsePoly, q: SparsePoly, d) -> SparsePoly:
+    """``(p * q).truncate(d)`` without building the dropped terms: ``q``'s
+    terms are grouped by x-degree, so a term of ``p`` of degree s visits
+    only the groups of degree <= d - s."""
+    if d < 0:
+        raise ValueError("truncation degree must be non-negative")
+    p._check_compatible(q)
+    nx = p.nx
+    groups: dict[int, list] = {}
+    for key, coeff in q.terms.items():
+        groups.setdefault(sum(key[:nx]), []).append((key, coeff))
+    terms: dict = {}
+    for k1, c1 in p.terms.items():
+        room = d - sum(k1[:nx])
+        for degree, group in groups.items():
+            if degree > room:
+                continue
+            for k2, c2 in group:
+                key = tuple(map(add, k1, k2))
+                terms[key] = terms.get(key, 0) + c1 * c2
+    return SparsePoly(nx, terms, p.ny)
+
+
+def pair_product(px: SparsePoly, py: SparsePoly) -> SparsePoly:
+    """Outer product of an x-polynomial and a y-polynomial."""
+    if px.ny is not None or py.ny is not None:
+        raise ValueError("pair_product expects two single-alphabet polynomials")
+    terms = {}
+    for xexp, cx in px.terms.items():
+        for yexp, cy in py.terms.items():
+            terms[xexp + yexp] = cx * cy
+    return SparsePoly(px.nx, terms, py.nx)
+
+
+def swap_alphabets(p: SparsePoly) -> SparsePoly:
+    """Exchange the roles of x and y (two-alphabet polynomials only)."""
+    if p.ny is None:
+        raise ValueError("single-alphabet polynomial has nothing to swap")
+    nx = p.nx
+    return SparsePoly(p.ny, {k[nx:] + k[:nx]: c for k, c in p.terms.items()}, nx)
+
+
+def _json_exponents(item: dict, field: str) -> tuple[int, ...]:
+    value = item[field]
+    if not isinstance(value, list) or not all(type(e) is int and e >= 0 for e in value):
+        raise ValueError(f"{field!r} must list non-negative integers, got {value!r}")
+    return tuple(value)
+
+
+def poly_from_json(data) -> SparsePoly:
+    """Rebuild a polynomial from its JSON term list; the first term fixes the arity.
+
+    Raises ``ValueError`` on input that :meth:`SparsePoly.to_json` never
+    writes: a term that is not an object with ``coeff`` and ``x_exp``, a
+    coefficient that is not an integer, an exponent that is not a
+    non-negative integer, or the same exponent key twice.
+    """
+    if not isinstance(data, list):
+        raise ValueError(f"expected a JSON list of terms, got {type(data).__name__}")
+    terms = {}
+    arity = None
+    for item in data:
+        if not isinstance(item, dict) or not {"coeff", "x_exp"} <= item.keys():
+            raise ValueError(f"term {item!r} is not an object with 'coeff' and 'x_exp'")
+        if type(item["coeff"]) is not int:
+            raise ValueError(f"coefficient {item['coeff']!r} is not an integer")
+        xexp = _json_exponents(item, "x_exp")
+        yexp = _json_exponents(item, "y_exp") if "y_exp" in item else None
+        shape = (len(xexp), None if yexp is None else len(yexp))
+        if arity is None:
+            arity = shape
+        elif shape != arity:
+            raise ValueError(f"term {item} does not match arity {arity}")
+        key = xexp + (yexp or ())
+        if key in terms:
+            raise ValueError(f"term {item} repeats an earlier exponent key")
+        terms[key] = item["coeff"]
+    if arity is None:
+        raise ValueError("cannot infer arity from an empty term list")
+    return SparsePoly(arity[0], terms, arity[1])
+
+
+def lhs_by_row_products(inst: KernelInstance, d: int) -> SparsePoly:
+    """The kernel's left side as a product of row factors.
+
+    Variables: x indexed by rows (k of them), y by columns (m of them).
+    The cells of row i share x_i, so their series multiply to the row
+    factor sum_t x_i^t h_t(y_1..y_{lambda_i}); the k row factors are folded
+    with a product that builds no term above degree d.
+    """
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    k, m = inst.k, inst.m
+    total = SparsePoly.one(k, m)
+    for i, length in enumerate(inst.shape):
+        row_terms = {}
+        for t in range(d + 1):
+            xexp = (0,) * i + (t,) + (0,) * (k - i - 1)
+            for yexp in compositions_with_sum(t, length):
+                row_terms[xexp + yexp + (0,) * (m - length)] = 1
+        total = truncated_product(total, SparsePoly(k, row_terms, m), d)
+    return total
+
+
+def rhs_by_pair_products(inst: KernelInstance, d: int) -> SparsePoly:
+    """The kernel's right side as the sum of the outer products of
+    ``rhs_pairs``, each built whole."""
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    products = (pair_product(px, py) for px, py in rhs_pairs(inst, d))
+    return poly_sum(products, inst.k, inst.m)
+
+
 @dataclass(frozen=True)
 class WholeExpansionReport:
     """The kernel check made on the two whole truncated polynomials."""
@@ -255,8 +375,8 @@ class WholeExpansionReport:
 def verify_by_whole_polynomials(inst: KernelInstance, d: int) -> WholeExpansionReport:
     """Build both truncated sides whole, compare them and locate the first
     mismatch in the order ``(|x|, x, y)`` from their difference."""
-    lhs = kernel_lhs(inst, d)
-    rhs = kernel_rhs(inst, d)
+    lhs = lhs_by_row_products(inst, d)
+    rhs = rhs_by_pair_products(inst, d)
     equal = lhs == rhs
     first_diff = None
     if not equal:

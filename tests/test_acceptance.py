@@ -12,7 +12,7 @@ from skyline.demazure import atom, key_polynomial, pi_op, pihat_op
 from skyline.fillings import SSAF, insert_with_chain, psi, psi_inverse, right_key
 from skyline.kernel import KernelInstance, alpha_vector, verify_expansion
 from skyline.permutations import orbit_bruhat_leq
-from skyline.polynomials import SparsePoly, pair_product
+from skyline.polynomials import SparsePoly
 from skyline.shapes import reverse
 from skyline.tableaux import SSYT, enumerate_ssyt, key_tableau
 from oracles import (
@@ -20,6 +20,7 @@ from oracles import (
     key_via_ssaf,
     min_coset_rep,
     orbit,
+    pair_product,
     schur_polynomial,
     weight_sum,
 )

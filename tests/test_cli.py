@@ -37,7 +37,7 @@ def test_atom_json_roundtrip():
     code, text = run_cli(["atom", "--alpha", "1,0,3", "--json"])
     assert code == 0
     from skyline.demazure import atom
-    from skyline.polynomials import poly_from_json
+    from oracles import poly_from_json
 
     assert poly_from_json(json.loads(text)) == atom((1, 0, 3))
 

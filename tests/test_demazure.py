@@ -12,6 +12,7 @@ from oracles import (
     key_via_ssaf,
     min_coset_rep,
     orbit,
+    pair_product,
     reduced_word,
     s_action,
     schur_polynomial,
@@ -194,8 +195,6 @@ def test_well_defined_over_reduced_words():
 
 
 def test_operator_rejects_two_alphabets():
-    from skyline.polynomials import pair_product
-
     two = pair_product(SparsePoly.monomial(1, (1, 0)), SparsePoly.monomial(1, (1,)))
     with pytest.raises(ValueError):
         pi_op(1, two)

@@ -3,6 +3,7 @@ import doctest
 import pytest
 
 import skyline.crystal
+import skyline.kernel
 import skyline.permutations
 import skyline.polynomials
 import skyline.shapes
@@ -17,6 +18,7 @@ import skyline.tableaux
         skyline.polynomials,
         skyline.tableaux,
         skyline.crystal,
+        skyline.kernel,
     ],
 )
 def test_doctests(module):

@@ -16,7 +16,7 @@ from skyline.kernel import (
     verify_expansion,
 )
 from skyline.permutations import orbit_bruhat_leq
-from skyline.polynomials import SparsePoly, pair_product
+from skyline.polynomials import SparsePoly
 from skyline.shapes import (
     cells,
     compositions_with_sum,
@@ -26,9 +26,13 @@ from skyline.shapes import (
 from oracles import (
     alpha_via_sorting,
     is_reduced,
+    lhs_by_row_products,
+    pair_product,
+    rhs_by_pair_products,
     schur_polynomial,
     sigma_nw_word,
     sigma_se_word,
+    swap_alphabets,
     verify_by_whole_polynomials,
     weight_sum,
 )
@@ -291,6 +295,26 @@ def test_a_broken_character_index_fails_with_the_oracles_first_diff(
     )
 
 
+@pytest.mark.parametrize("broken", [None, _sorted_index, _oversized_index])
+def test_views_match_the_oracle_routes(monkeypatch, broken):
+    # kernel_lhs and kernel_rhs are views of one walk; the oracles build each
+    # side whole by its own route, and a broken index must still show
+    if broken is not None:
+        monkeypatch.setattr(kernel, "alpha_vector", broken)
+    unequal = set()
+    for n, m, k, d in SMALL_INSTANCES + KERNEL_CASES:
+        inst = KernelInstance(n, m, k)
+        lhs, rhs = kernel_lhs(inst, d), kernel_rhs(inst, d)
+        assert lhs == lhs_by_row_products(inst, d), (n, m, k, d)
+        assert rhs == rhs_by_pair_products(inst, d), (n, m, k, d)
+        if lhs != rhs:
+            unequal.add((n, m, k, d))
+    if broken is None:
+        assert unequal == set()
+    else:
+        assert {(3, 3, 3, 4), (5, 4, 3, 3), (5, 3, 4, 3)} <= unequal
+
+
 def test_a_sorted_index_changes_24_of_the_35_classes_of_3_3_3_4():
     changed = [
         mu
@@ -320,24 +344,26 @@ def test_rectangle_matches_classical_cauchy():
 
 
 def test_expansion_k_greater_than_m_at_degree_4():
+    # both views come from one walk, so each is compared with the other
+    # side's independent route
     inst = KernelInstance(6, 3, 5)
-    assert kernel_rhs(inst, 4) == kernel_lhs(inst, 4)
+    assert kernel_rhs(inst, 4) == lhs_by_row_products(inst, 4)
 
 
 @pytest.mark.parametrize("n,m,k,d", [(7, 7, 7, 5), (7, 6, 5, 6)])
 def test_expansion_at_large_sizes(n, m, k, d):
     inst = KernelInstance(n, m, k)
-    assert kernel_rhs(inst, d) == kernel_lhs(inst, d)
+    assert kernel_lhs(inst, d) == rhs_by_pair_products(inst, d)
 
 
 def test_conjugation_symmetry():
     for (n, m, k), d in [((5, 4, 3), 2), ((4, 3, 2), 3), ((4, 4, 3), 2)]:
         direct = kernel_rhs(KernelInstance(n, k, m), d)
-        swapped = kernel_rhs(KernelInstance(n, m, k), d).swap_alphabets()
+        swapped = swap_alphabets(kernel_rhs(KernelInstance(n, m, k), d))
         assert direct == swapped
-        assert kernel_lhs(KernelInstance(n, k, m), d) == kernel_lhs(
-            KernelInstance(n, m, k), d
-        ).swap_alphabets()
+        assert kernel_lhs(KernelInstance(n, k, m), d) == swap_alphabets(
+            kernel_lhs(KernelInstance(n, m, k), d)
+        )
 
 
 def test_bijection_level_binning():

@@ -185,6 +185,14 @@ def test_enumerate_ssyt_rejects_tall_shape():
         list(enumerate_ssyt((1, 1, 1), 2))
 
 
+def test_enumerate_ssyt_rejects_a_bad_shape_at_the_call():
+    # the call itself raises, before any tableau is asked for
+    with pytest.raises(ValueError, match=r"not a partition: \(1, 2\)"):
+        enumerate_ssyt((1, 2), 3)
+    with pytest.raises(ValueError, match="not a weak composition"):
+        enumerate_ssyt((2, -1), 2)
+
+
 def test_json_roundtrip():
     data = ssyt_to_json(T_BIG)
     assert ssyt_from_json(data) == T_BIG
