@@ -8,8 +8,6 @@ from .correspondences import (
     phi,
     phi_inverse,
     rsk,
-    rsk_commutes_check,
-    swap_rows,
 )
 from .crystal import (
     CrystalGraph,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fillings import SSAF, empty_ssaf, insert_columns, psi, psi_inverse
+from .fillings import SSAF, empty_ssaf, insert_columns, psi_inverse
 from .permutations import orbit_bruhat_leq
 from .shapes import decreasing_rearrangement, reverse
 from .tableaux import SSYT, _row_insert
@@ -76,11 +76,6 @@ def biword_from_json(data) -> Biword:
     return Biword(tuple(tuple(pair) for pair in data))
 
 
-def swap_rows(w: Biword) -> Biword:
-    """Exchange the two rows and re-sort lexicographically."""
-    return Biword(tuple(sorted((j, i) for i, j in w.pairs)))
-
-
 def rsk(w: Biword, n: int | None = None) -> tuple[SSYT, SSYT]:
     """Row-insert the bottom row, recording the top row cell by cell."""
     if n is None:
@@ -138,33 +133,47 @@ def _place_in_recording(cols, letter: int, h: int):
     return cols[:c] + (cols[c] + (letter,),) + cols[c + 1 :]
 
 
-def _step_columns(f, g, i: int, j: int):
-    """One step of phi: extend raw (insertion, recording) columns by (i, j)."""
-    f, h, _, _ = insert_columns(j, f)
-    g = _place_in_recording(g, i, h)
+def _step_columns(f, g, i: int, j: int, inserted, recorded):
+    """One step of phi: extend raw (insertion, recording) columns by (i, j).
+
+    F depends only on the bottom letters and G only on the top letters and
+    the heights insertion reached, so the caller's tables memoise the
+    insertion by (F, j) in ``inserted`` and the recording by (G, i, h) in
+    ``recorded``.  Each entry keeps its sorted heights for the shape check.
+    """
+    step = inserted.get((f, j))
+    if step is None:
+        f2, h, _, _ = insert_columns(j, f)
+        step = inserted[f, j] = f2, h, sorted(map(len, f2))
+    f, h, f_heights = step
+    record = recorded.get((g, i, h))
+    if record is None:
+        g2 = _place_in_recording(g, i, h)
+        record = recorded[g, i, h] = g2, sorted(map(len, g2))
+    g, g_heights = record
     # the two shapes stay rearrangements of each other at every stage
-    if sorted(map(len, f)) != sorted(map(len, g)):
+    if f_heights != g_heights:
         raise AssertionError("insertion and recording shapes diverged")
     return f, g
 
 
-def phi_steps(w: Biword, n: int) -> list[tuple[SSAF, SSAF]]:
-    """All intermediate (insertion, recording) pairs, one per biletter."""
+def phi(w: Biword, n: int) -> tuple[SSAF, SSAF]:
+    """The skyline analogue of RSK: biword -> (insertion, recording) SSAFs.
+
+    Right to left, each biletter (i, j) inserts j into F and records i in G
+    at the height that insertion reached.
+
+    >>> phi(parse_biword("1 1 2 / 1 2 1"), 2)[0].columns
+    ((1, 1), (2,))
+    """
     for i, j in w.pairs:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"biletter ({i}, {j}) exceeds the alphabet [1, {n}]")
     f = g = empty_ssaf(n).columns
-    stages = []
+    inserted, recorded = {}, {}
     for i, j in reversed(w.pairs):
-        f, g = _step_columns(f, g, i, j)
-        stages.append((SSAF(f), SSAF(g)))
-    return stages
-
-
-def phi(w: Biword, n: int) -> tuple[SSAF, SSAF]:
-    """The skyline analogue of RSK: biword -> (insertion, recording) SSAFs."""
-    stages = phi_steps(w, n)
-    return stages[-1] if stages else (empty_ssaf(n), empty_ssaf(n))
+        f, g = _step_columns(f, g, i, j, inserted, recorded)
+    return SSAF(f), SSAF(g)
 
 
 def phi_inverse(f: SSAF, g: SSAF) -> Biword:
@@ -174,13 +183,6 @@ def phi_inverse(f: SSAF, g: SSAF) -> Biword:
     if decreasing_rearrangement(f.shape) != decreasing_rearrangement(g.shape):
         raise ValueError("shapes are not rearrangements of each other")
     return inverse_rsk(psi_inverse(f), psi_inverse(g))
-
-
-def rsk_commutes_check(w: Biword, n: int) -> bool:
-    """Does mapping the RSK pair through psi reproduce the skyline pair?"""
-    p, q = rsk(w, n)
-    f, g = phi(w, n)
-    return psi(p) == f and psi(q) == g
 
 
 def main_theorem_predicate(w: Biword, n: int) -> tuple[bool, bool]:
@@ -203,21 +205,16 @@ def criterion_sweep(n: int, max_len: int):
     them for ``Biword(pairs)``, once per biword of length <= ``max_len``, in
     no fixed order.  phi reads the last biletter first, so a depth-first
     search that prepends biletters in non-increasing lexicographic order
-    gets each child's (F, G) from its parent's by one step of phi.  F
-    depends only on the bottom letters and G only on the top letters and
-    the heights insertion reached, so the step is split into an insertion
-    memoised by (F, j) and a recording memoised by (G, i, h), and each
-    distinct shape pair costs one Bruhat test.  The tables live for one call.
+    gets each child's (F, G) from its parent's by one :func:`_step_columns`,
+    and each distinct shape pair costs one Bruhat test.  The step's memo
+    tables and the Bruhat results live for one call.
     """
     if n < 0 or max_len < 0:
         raise ValueError(f"need n >= 0 and max_len >= 0, got {n} and {max_len}")
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     empty = empty_ssaf(n).columns
     bruhat = {}  # sh(G) + sh(F) -> rhs; shape pairs repeat across many nodes
-    # Each entry keeps its filling's sorted heights, so the shape check of
-    # _step_columns is one comparison per child.
-    inserted = {}  # (F, j) -> (F', terminal height, sorted heights of F')
-    recorded = {}  # (G, i, h) -> (G', sorted heights of G')
+    inserted, recorded = {}, {}
     # (pairs, lhs, columns of F, columns of G, number of cells still prependable)
     stack = [((), True, empty, empty, len(cells))]
     while stack:
@@ -229,24 +226,5 @@ def criterion_sweep(n: int, max_len: int):
         yield pairs, lhs, rhs
         if len(pairs) < max_len:
             for c, (i, j) in enumerate(cells[:allowed]):
-                step = inserted.get((f, j))
-                if step is None:
-                    f2, h, _, _ = insert_columns(j, f)
-                    step = inserted[f, j] = f2, h, sorted(map(len, f2))
-                f2, h, f_heights = step
-                record = recorded.get((g, i, h))
-                if record is None:
-                    g2 = _place_in_recording(g, i, h)
-                    record = recorded[g, i, h] = g2, sorted(map(len, g2))
-                g2, g_heights = record
-                if f_heights != g_heights:
-                    raise AssertionError("insertion and recording shapes diverged")
+                f2, g2 = _step_columns(f, g, i, j, inserted, recorded)
                 stack.append((((i, j),) + pairs, lhs and i + j <= n + 1, f2, g2, c + 1))
-
-
-def alphabet_support_check(w: Biword, n: int, k: int, m: int) -> bool:
-    """Zero-tail conditions when the rows use alphabets [k] and [m]."""
-    if any(i > k for i in w.top()) or any(j > m for j in w.bottom()):
-        raise ValueError(f"biword rows exceed the alphabets [{k}] and [{m}]")
-    f, g = phi(w, n)
-    return all(e == 0 for e in g.shape[k:]) and all(e == 0 for e in f.shape[m:])

@@ -47,13 +47,6 @@ def pihat_op(i: int, f: SparsePoly) -> SparsePoly:
     return pi_op(i, f) - f
 
 
-def apply_op_word(word, f: SparsePoly) -> SparsePoly:
-    """Compose operators pi_i in word order: the rightmost index acts first."""
-    for i in reversed(tuple(word)):
-        f = pi_op(i, f)
-    return f
-
-
 def sorting_step(alpha) -> tuple[int, tuple[int, ...]] | None:
     """The first ascent ``alpha_i < alpha_{i+1}`` (1-based ``i``) and ``alpha``
     with entries i, i+1 swapped; None when ``alpha`` is weakly decreasing.

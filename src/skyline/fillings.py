@@ -44,13 +44,6 @@ class SSAF:
                 counts[e - 1] += 1
         return tuple(counts)
 
-    def reading_word(self) -> tuple[int, ...]:
-        """Non-basement entries, rows top to bottom, left to right."""
-        word = []
-        for r in range(max(self.shape, default=0), 0, -1):
-            word.extend(col[r - 1] for col in self.columns if len(col) >= r)
-        return tuple(word)
-
     def pretty(self) -> str:
         lines = []
         for r in range(max(self.shape, default=0), 0, -1):
@@ -159,7 +152,11 @@ def insert_with_chain(k: int, filling: SSAF):
 
 
 def insert(k: int, filling: SSAF) -> tuple[SSAF, int, int]:
-    """Insert k; returns the new SSAF with the terminal height and column."""
+    """Insert k; returns the new SSAF with the terminal height and column.
+
+    >>> insert(1, key_ssaf((0, 1)))
+    (SSAF(columns=((), (2, 1))), 2, 2)
+    """
     new, h, col, _ = insert_with_chain(k, filling)
     return new, h, col
 

@@ -44,14 +44,6 @@ class KernelInstance:
     def shape(self) -> Composition:
         return truncated_staircase(self.n, self.m, self.k)
 
-    @property
-    def is_rectangle(self) -> bool:
-        return self.n + 1 == self.m + self.k
-
-    @property
-    def is_staircase(self) -> bool:
-        return self.m == self.k == self.n
-
     def conjugate(self) -> "KernelInstance":
         return KernelInstance(self.n, self.k, self.m)
 

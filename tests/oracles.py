@@ -11,8 +11,10 @@ from functools import lru_cache
 from math import factorial
 from operator import add
 
+from skyline.correspondences import Biword, phi, rsk
 from skyline.crystal import CrystalGraph, crystal_graph, demazure_crystal
-from skyline.fillings import SSAF, _basics_ok, validate
+from skyline.demazure import pi_op
+from skyline.fillings import SSAF, _basics_ok, psi, validate
 from skyline.kernel import KernelInstance, rhs_pairs
 from skyline.permutations import orbit_bruhat_leq
 from skyline.polynomials import SparsePoly, poly_sum
@@ -294,6 +296,14 @@ def poly_from_json(data) -> SparsePoly:
     return SparsePoly(arity[0], terms, arity[1])
 
 
+def is_rectangle(inst: KernelInstance) -> bool:
+    return inst.n + 1 == inst.m + inst.k
+
+
+def is_staircase(inst: KernelInstance) -> bool:
+    return inst.m == inst.k == inst.n
+
+
 def lhs_by_row_products(inst: KernelInstance, d: int) -> SparsePoly:
     """The kernel's left side as a product of row factors.
 
@@ -467,6 +477,13 @@ def s_action(p: SparsePoly, i: int) -> SparsePoly:
     return SparsePoly(p.nx, {swap(k): c for k, c in p.terms.items()}, p.ny)
 
 
+def apply_op_word(word, f: SparsePoly) -> SparsePoly:
+    """Compose operators pi_i in word order: the rightmost index acts first."""
+    for i in reversed(tuple(word)):
+        f = pi_op(i, f)
+    return f
+
+
 def weight_sum(objects, n: int) -> SparsePoly:
     """Sum of x^content over tableaux or fillings with alphabet size n."""
     return SparsePoly(n, Counter(obj.content() for obj in objects))
@@ -553,6 +570,14 @@ def bruhat_leq_subword(theta, sigma) -> bool:
     if len(theta) != len(sigma):
         raise ValueError("size mismatch")
     return theta in bruhat_lower_interval(sigma)
+
+
+def reading_word(filling: SSAF) -> tuple[int, ...]:
+    """Non-basement entries, rows top to bottom, left to right."""
+    word = []
+    for r in range(max(filling.shape, default=0), 0, -1):
+        word.extend(col[r - 1] for col in filling.columns if len(col) >= r)
+    return tuple(word)
 
 
 def _standardized(filling: SSAF) -> dict[tuple[int, int], int]:
@@ -712,3 +737,31 @@ def is_key_by_columns(tab: SSYT) -> bool:
         {row[c] for row in tab.rows if len(row) > c} for c in range(width)
     ]
     return all(cols[j + 1] <= cols[j] for j in range(width - 1))
+
+
+def phi_steps(w: Biword, n: int) -> list[tuple[SSAF, SSAF]]:
+    """All intermediate (insertion, recording) pairs, one per biletter.
+
+    phi reads right to left, so stage t is phi of the last t biletters.
+    """
+    return [phi(Biword(w.pairs[len(w) - t :]), n) for t in range(1, len(w) + 1)]
+
+
+def swap_rows(w: Biword) -> Biword:
+    """Exchange the two rows and re-sort lexicographically."""
+    return Biword(tuple(sorted((j, i) for i, j in w.pairs)))
+
+
+def rsk_commutes_check(w: Biword, n: int) -> bool:
+    """Does mapping the RSK pair through psi reproduce the skyline pair?"""
+    p, q = rsk(w, n)
+    f, g = phi(w, n)
+    return psi(p) == f and psi(q) == g
+
+
+def alphabet_support_check(w: Biword, n: int, k: int, m: int) -> bool:
+    """Zero-tail conditions when the rows use alphabets [k] and [m]."""
+    if any(i > k for i in w.top()) or any(j > m for j in w.bottom()):
+        raise ValueError(f"biword rows exceed the alphabets [{k}] and [{m}]")
+    f, g = phi(w, n)
+    return all(e == 0 for e in g.shape[k:]) and all(e == 0 for e in f.shape[m:])

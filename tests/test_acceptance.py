@@ -6,7 +6,7 @@ Each test prints a single pass line with its elapsed time; run with
 import random
 import time
 
-from skyline.correspondences import Biword, main_theorem_predicate, parse_biword, phi, phi_inverse, rsk_commutes_check
+from skyline.correspondences import Biword, main_theorem_predicate, parse_biword, phi, phi_inverse
 from skyline.crystal import atom_set, bounded_entry_restriction, demazure_crystal
 from skyline.demazure import atom, key_polynomial, pi_op, pihat_op
 from skyline.fillings import SSAF, insert_with_chain, psi, psi_inverse, right_key
@@ -21,6 +21,7 @@ from oracles import (
     min_coset_rep,
     orbit,
     pair_product,
+    rsk_commutes_check,
     schur_polynomial,
     weight_sum,
 )

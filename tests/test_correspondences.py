@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from skyline import correspondences
 from skyline.correspondences import (
     Biword,
-    alphabet_support_check,
     biword_from_json,
     biword_to_json,
     criterion_sweep,
@@ -19,14 +18,12 @@ from skyline.correspondences import (
     parse_biword,
     phi,
     phi_inverse,
-    phi_steps,
     rsk,
-    rsk_commutes_check,
-    swap_rows,
 )
 from skyline.fillings import SSAF, empty_ssaf, validate
 from skyline.permutations import orbit_bruhat_leq
 from skyline.shapes import reverse
+from oracles import alphabet_support_check, phi_steps, rsk_commutes_check, swap_rows
 from util import biword_multisets
 
 W1 = parse_biword("4 6 6 7 / 4 1 2 1")
@@ -225,13 +222,38 @@ def test_criterion_sweep_rejects_negative_arguments():
         list(criterion_sweep(2, -1))
 
 
-def test_criterion_sweep_checks_shapes_on_every_child(monkeypatch):
-    def grow_column_0(cols, letter, h):
-        return (cols[0] + (letter,),) + cols[1:]
+def _grow_column_0(cols, letter, h):
+    return (cols[0] + (letter,),) + cols[1:]
 
-    monkeypatch.setattr(correspondences, "_place_in_recording", grow_column_0)
+
+def test_criterion_sweep_checks_shapes_on_every_child(monkeypatch):
+    monkeypatch.setattr(correspondences, "_place_in_recording", _grow_column_0)
     with pytest.raises(AssertionError, match="shapes diverged"):
         list(criterion_sweep(3, 3))
+
+
+def test_phi_checks_shapes_through_the_same_step(monkeypatch):
+    monkeypatch.setattr(correspondences, "_place_in_recording", _grow_column_0)
+    with pytest.raises(AssertionError, match="shapes diverged"):
+        phi(W1, 7)
+
+
+def test_criterion_sweep_and_phi_share_one_step_routine(monkeypatch):
+    calls = []
+    step = correspondences._step_columns
+
+    def counting(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(correspondences, "_step_columns", counting)
+    # one step per child of the search: every biword but the empty one
+    children = sum(1 for pairs, _, _ in criterion_sweep(3, 3) if pairs)
+    assert children > 0 and len(calls) == children
+    for w, n in [(W1, 7), (W2, 6), (Biword(()), 2)]:
+        del calls[:]
+        phi(w, n)
+        assert len(calls) == len(w)
 
 
 def _count_insertions(monkeypatch):

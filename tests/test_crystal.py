@@ -14,7 +14,7 @@ from skyline.crystal import (
     f_op,
     string_decomposition,
 )
-from skyline.demazure import apply_op_word, atom, key_polynomial
+from skyline.demazure import atom, key_polynomial
 from skyline.fillings import right_key
 from skyline.permutations import orbit_bruhat_leq
 from skyline.polynomials import SparsePoly
@@ -22,6 +22,7 @@ from skyline.shapes import decreasing_rearrangement, reverse
 from skyline.tableaux import SSYT, enumerate_ssyt, key_tableau, ssyt_to_json
 from oracles import (
     all_reduced_words,
+    apply_op_word,
     reference_e,
     reference_f,
     atom_set_by_subtraction,

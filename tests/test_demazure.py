@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from skyline.demazure import apply_op_word, atom, key_polynomial, pi_op, pihat_op
+from skyline.demazure import atom, key_polynomial, pi_op, pihat_op
 from skyline.permutations import orbit_bruhat_leq
 from skyline.polynomials import SparsePoly
 from skyline.shapes import decreasing_rearrangement
 from oracles import (
     all_reduced_words,
+    apply_op_word,
     atom_via_ssaf,
     key_via_ssaf,
     min_coset_rep,

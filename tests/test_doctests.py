@@ -2,7 +2,9 @@ import doctest
 
 import pytest
 
+import skyline.correspondences
 import skyline.crystal
+import skyline.fillings
 import skyline.kernel
 import skyline.permutations
 import skyline.polynomials
@@ -19,6 +21,8 @@ import skyline.tableaux
         skyline.tableaux,
         skyline.crystal,
         skyline.kernel,
+        skyline.correspondences,
+        skyline.fillings,
     ],
 )
 def test_doctests(module):

@@ -21,6 +21,7 @@ from oracles import (
     enumerate_ssaf,
     insert_by_reading_order,
     orbit,
+    reading_word,
     validate_via_orientation,
 )
 from util import partitions_up_to, small_compositions
@@ -31,7 +32,7 @@ BUMP_START = SSAF(((), (), (3, 2, 1), (4, 1), (), (6,)))  # insertion example
 
 def test_validate_known_filling():
     assert validate(KNOWN_FILLING)
-    assert KNOWN_FILLING.reading_word() == (1, 3, 2, 1, 3, 4, 6)
+    assert reading_word(KNOWN_FILLING) == (1, 3, 2, 1, 3, 4, 6)
     assert KNOWN_FILLING.content() == (2, 1, 2, 1, 0, 1)
 
 

@@ -25,7 +25,9 @@ from skyline.shapes import (
 )
 from oracles import (
     alpha_via_sorting,
+    is_rectangle,
     is_reduced,
+    is_staircase,
     lhs_by_row_products,
     pair_product,
     rhs_by_pair_products,
@@ -73,8 +75,8 @@ def test_instance_validation():
     KernelInstance(5, 4, 3)
     with pytest.raises(ValueError):
         KernelInstance(5, 1, 1)
-    assert KernelInstance(4, 3, 2).is_rectangle
-    assert KernelInstance(3, 3, 3).is_staircase
+    assert is_rectangle(KernelInstance(4, 3, 2))
+    assert is_staircase(KernelInstance(3, 3, 3))
 
 
 def test_sigma_se_word_examples():

@@ -31,6 +31,34 @@ def _defined_names(path):
     }
 
 
+def test_public_names_are_exported_or_named_by_the_package():
+    # a public module-level function or class that skyline.__all__ does not
+    # export and no other package code names is a test-only helper, which
+    # belongs in tests/oracles.py
+    statements = [node for path in SOURCES for node in _tree(path).body]
+    named = [
+        {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+        for node in statements
+    ]
+    unused = [
+        node.name
+        for node in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in skyline.__all__
+        and not any(
+            node.name in names
+            for other, names in zip(statements, named)
+            if other is not node
+        )
+    ]
+    assert unused == []
+
+
 def test_demazure_depends_on_polynomials_alone_and_oracles_stay_in_tests():
     package = Path(skyline.__file__).parent
     siblings = {
