@@ -281,7 +281,7 @@ def run(argv, out=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args, out)
-    except (ValueError, KeyError, json.JSONDecodeError, OSError, RecursionError) as exc:
+    except (ValueError, KeyError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

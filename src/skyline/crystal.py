@@ -59,12 +59,14 @@ def e_op(i: int, tab: SSYT) -> SSYT | None:
 
 @dataclass(frozen=True)
 class CrystalGraph:
-    """Coloured digraph on tableaux of one shape: B(lambda) or an induced subgraph."""
+    """Coloured digraph on tableaux of one shape: B(lambda) or an induced
+    subgraph.  An edge ``(s, i, t)`` names its ends by position in ``vertices``,
+    ``vertices[t]`` being f_i of ``vertices[s]``: the form the JSON export writes."""
 
     shape: Composition
     n: int
     vertices: tuple[SSYT, ...]
-    edges: tuple[tuple[SSYT, int, SSYT], ...]
+    edges: tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -78,20 +80,21 @@ class DemazureCrystal:
 
 def _induced_graph(lam, n: int, words) -> CrystalGraph:
     """The subgraph of B(lam), ``lam`` without zero parts, induced on the
-    tableaux with these column words: vertices by word, edges ``(tab, i,
-    f_i(tab))`` by source position and then colour.  Each target is looked
-    up by its changed word, so no tableau is built per edge.
+    tableaux with these column words: vertices by word, edges by source
+    position and then colour.  Each target is looked up by its changed
+    word, so no tableau is built per edge.
     """
-    rows = word_to_rows(lam)
-    by_word = {word: SSYT._trusted(rows(word), n) for word in sorted(words)}
+    position = {word: pos for pos, word in enumerate(sorted(words))}
     edges = []
-    for word, tab in by_word.items():
+    for word, src in position.items():
         last = {word[pos]: pos for pos in _brackets(word)[0]}  # per colour
         for i, pos in sorted(last.items()):
-            out = by_word.get(word[:pos] + (i + 1,) + word[pos + 1 :])
-            if out is not None:  # never for colour n: no vertex holds n + 1
-                edges.append((tab, i, out))
-    return CrystalGraph(lam, n, tuple(by_word.values()), tuple(edges))
+            dst = position.get(word[:pos] + (i + 1,) + word[pos + 1 :])
+            if dst is not None:  # never for colour n: no vertex holds n + 1
+                edges.append((src, i, dst))
+    rows = word_to_rows(lam)
+    vertices = tuple([SSYT._trusted(rows(word), n) for word in position])
+    return CrystalGraph(lam, n, vertices, tuple(edges))
 
 
 def crystal_graph(lam, n: int) -> CrystalGraph:
@@ -165,13 +168,13 @@ def string_decomposition(graph: CrystalGraph, i: int) -> list[list[SSYT]]:
     nxt = {src: dst for src, colour, dst in graph.edges if colour == i}
     has_in = set(nxt.values())
     strings = []
-    for tab in graph.vertices:
-        if tab in has_in:
+    for head in range(len(graph.vertices)):
+        if head in has_in:
             continue
-        string = [tab]
+        string = [head]
         while string[-1] in nxt:
             string.append(nxt[string[-1]])
-        strings.append(string)
+        strings.append([graph.vertices[pos] for pos in string])
     return strings
 
 
@@ -200,25 +203,21 @@ def _json_items(items: list[str]) -> str:
 def export_graph(graph: CrystalGraph, format: str = "dot") -> str:
     """Deterministic DOT or JSON rendering, vertices labelled by word."""
     if format == "dot":
-        labels = {tab: ",".join(map(str, tab.column_word())) for tab in graph.vertices}
-        lines = ["digraph crystal {"] + [f'  "{labels[t]}";' for t in graph.vertices]
-        for src, colour, dst in graph.edges:
-            colour_name = _DOT_COLOURS[(colour - 1) % len(_DOT_COLOURS)]
-            lines.append(
-                f'  "{labels[src]}" -> "{labels[dst]}" '
-                f'[label="{colour}", color="{colour_name}"];'
-            )
+        labels = [",".join(map(str, tab.column_word())) for tab in graph.vertices]
+        lines = ["digraph crystal {"] + [f'  "{label}";' for label in labels]
+        for s, c, d in graph.edges:
+            name = _DOT_COLOURS[(c - 1) % len(_DOT_COLOURS)]
+            lines.append(f'  "{labels[s]}" -> "{labels[d]}" [label="{c}", color="{name}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
     if format == "json":
         # every vertex has the graph's shape and alphabet: only entries vary
-        index = {tab: pos for pos, tab in enumerate(graph.vertices)}
         shape = list(graph.shape)
         rows = [["%d"] * length for length in shape]
         vertex = _json_template({"n": graph.n, "rows": rows, "shape": shape}, 2)
         edge = _json_template(["%d"] * 3, 2)
         vertices = [vertex % sum(t.rows, ()) for t in graph.vertices]
-        edges = [edge % (index[s], c, index[d]) for s, c, d in graph.edges]
+        edges = [edge % triple for triple in graph.edges]
         return (
             f'{{\n  "edges": {_json_items(edges)},\n  "n": {graph.n},\n'
             f'  "shape": {_json_template(shape, 1)},\n'

@@ -160,7 +160,7 @@ def column_words(lam, n: int) -> tuple[Composition, list[tuple[int, ...]]]:
     if len(lam) > n:
         raise ValueError(f"shape {lam} has more than n={n} rows")
     heights = [sum(1 for part in lam if part > c) for c in range(lam[0] if lam else 0)]
-    columns = {h: [*combinations(range(n, 0, -1), h)][::-1] for h in heights}
+    columns = {h: [*combinations(range(n, 0, -1), h)][::-1] for h in set(heights)}
     choices: dict = {}
     words = [()]
     for h in heights:
@@ -187,9 +187,9 @@ def word_to_rows(lam):
 
 
 def enumerate_ssyt(lam, n: int):
-    """Every SSYT of shape ``lam`` with entries <= n, by increasing column word:
-    a generator of tableaux valid by construction, so built unchecked.  A
-    bad shape is rejected by the call itself."""
+    """Every SSYT of shape ``lam`` with entries <= n, by increasing column word,
+    built unchecked since each is valid by construction.  The call lists every
+    column word, rejecting a bad shape, before the first tableau is yielded."""
     lam, words = column_words(lam, n)
     rows = word_to_rows(lam)
     return (SSYT._trusted(rows(word), n) for word in words)

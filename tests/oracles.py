@@ -699,33 +699,43 @@ def atom_set_by_subtraction(alpha, n: int) -> frozenset[SSYT]:
 
 
 def demazure_graph_by_filtering(alpha, n: int) -> CrystalGraph:
-    """Build all of B(lambda), then keep the Demazure vertices and their edges."""
+    """Build all of B(lambda), then keep the Demazure vertices and their edges,
+    renumbering the kept vertices in order."""
     kept = demazure_crystal(alpha, n).vertices
     graph = crystal_graph(decreasing_rearrangement(alpha), n)
+    renumber = {}  # position in B(lambda) -> position among the kept vertices
+    for pos, tab in enumerate(graph.vertices):
+        if tab in kept:
+            renumber[pos] = len(renumber)
     return CrystalGraph(
         graph.shape,
         graph.n,
         tuple(t for t in graph.vertices if t in kept),
-        tuple(e for e in graph.edges if e[0] in kept and e[2] in kept),
+        tuple(
+            (renumber[s], c, renumber[d])
+            for s, c, d in graph.edges
+            if s in renumber and d in renumber
+        ),
     )
 
 
 def induced_graph_via_f_op(lam, n: int, vertices) -> CrystalGraph:
     """The subgraph of B(lam) induced on ``vertices``, one ``reference_f`` per edge.
 
-    Vertices are listed in column-word order, edges ``(tab, i, f_i(tab))`` by
-    source position and then colour, keeping those whose target is a vertex.
+    Vertices are listed in column-word order, edges ``(s, i, t)``, with
+    ``vertices[t]`` being f_i of ``vertices[s]``, by source and then colour,
+    keeping those whose target is a vertex.
     """
     def word(tab):
         return [tab.rows[r][c] for r, c in cells_in_column_order(tab)]
 
     vertices = tuple(sorted(vertices, key=word))
-    members = frozenset(vertices)
+    position = {tab: pos for pos, tab in enumerate(vertices)}
     edges = tuple(
-        (tab, i, out)
-        for tab in vertices
+        (pos, i, position[out])
+        for pos, tab in enumerate(vertices)
         for i in range(1, n)
-        if (out := reference_f(i, tab)) in members
+        if (out := reference_f(i, tab)) in position
     )
     return CrystalGraph(lam[: num_parts(lam)], n, vertices, edges)
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,26 @@ def test_verify_kernel_json_file(tmp_path):
     )
     assert code == 0
     assert json.loads(path.read_text())["equal"] is True
+
+
+def test_readme_command_line_examples_run(tmp_path):
+    readme = Path(skyline.__file__).resolve().parents[2] / "README.md"
+    block = readme.read_text().split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("skyline ")]
+    assert len(lines) == 13
+    report = tmp_path / "report.json"
+    optional = " [--json report.json]"
+    runs = []
+    for line in lines:
+        if optional in line:
+            runs.append(line.replace(optional, ""))
+            line = line.replace(optional, " --json " + shlex.quote(str(report)))
+        runs.append(line)
+    assert len(runs) == 14
+    for line in runs:
+        code, text = run_cli(shlex.split(line, comments=True)[1:])
+        assert code == 0 and text, line
+    assert json.loads(report.read_text())["equal"] is True
 
 
 def test_verify_kernel_jobs_byte_identical():

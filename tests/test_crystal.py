@@ -104,18 +104,18 @@ def test_crystal_graph_sizes_and_degrees():
 
 def test_crystal_graph_connected_from_highest_weight():
     g = crystal_graph((3, 1), 3)
-    reached = {YAM_31}
+    reached = {g.vertices.index(YAM_31)}
     frontier = list(reached)
     adj = {}
     for src, _, dst in g.edges:
         adj.setdefault(src, []).append(dst)
     while frontier:
-        tab = frontier.pop()
-        for nxt in adj.get(tab, []):
+        pos = frontier.pop()
+        for nxt in adj.get(pos, []):
             if nxt not in reached:
                 reached.add(nxt)
                 frontier.append(nxt)
-    assert reached == set(g.vertices)
+    assert {g.vertices[pos] for pos in reached} == set(g.vertices)
 
 
 def test_demazure_crystal_examples():
@@ -250,8 +250,7 @@ def test_graphs_list_vertices_by_column_word_and_edges_by_source_then_colour():
     for graph in graphs:
         words = [tab.column_word() for tab in graph.vertices]
         assert words == sorted(words) and len(set(words)) == len(words)
-        position = {tab: pos for pos, tab in enumerate(graph.vertices)}
-        order = [(position[src], colour) for src, colour, _ in graph.edges]
+        order = [(src, colour) for src, colour, _ in graph.edges]
         assert order == sorted(order) and len(set(order)) == len(order)
 
 
@@ -284,8 +283,9 @@ def test_induced_graphs_match_the_f_op_oracle():
 def test_crystal_graph_over_a_large_alphabet():
     # one letter per vertex over [2000]: the chain 1 -1-> 2 -2-> ... -> 2000
     g = crystal_graph((1,), 2000)
-    assert [t.rows for t in g.vertices] == [((i,),) for i in range(1, 2001)]
-    assert [(s.rows, c, d.rows) for s, c, d in g.edges] == [
+    rows = [t.rows for t in g.vertices]
+    assert rows == [((i,),) for i in range(1, 2001)]
+    assert [(rows[s], c, rows[d]) for s, c, d in g.edges] == [
         (((i,),), i, ((i + 1,),)) for i in range(1, 2000)
     ]
 
@@ -293,8 +293,9 @@ def test_crystal_graph_over_a_large_alphabet():
 def test_demazure_graph_over_a_large_alphabet():
     # the crystal of (0, ..., 0, 1) over [300] is all of B(1): the chain of letters
     g = demazure_graph((0,) * 299 + (1,), 300)
-    assert [t.rows for t in g.vertices] == [((i,),) for i in range(1, 301)]
-    assert [(s.rows, c, d.rows) for s, c, d in g.edges] == [
+    rows = [t.rows for t in g.vertices]
+    assert rows == [((i,),) for i in range(1, 301)]
+    assert [(rows[s], c, rows[d]) for s, c, d in g.edges] == [
         (((i,),), i, ((i + 1,),)) for i in range(1, 300)
     ]
 
@@ -385,13 +386,76 @@ def test_export_graph_formats():
         export_graph(g1, "svg")
 
 
+def test_export_dot_text():
+    # colour 9 wraps round the eight DOT colours back to black
+    assert export_graph(crystal_graph((1,), 10), "dot") == """digraph crystal {
+  "1";
+  "2";
+  "3";
+  "4";
+  "5";
+  "6";
+  "7";
+  "8";
+  "9";
+  "10";
+  "1" -> "2" [label="1", color="black"];
+  "2" -> "3" [label="2", color="red"];
+  "3" -> "4" [label="3", color="blue"];
+  "4" -> "5" [label="4", color="green"];
+  "5" -> "6" [label="5", color="orange"];
+  "6" -> "7" [label="6", color="purple"];
+  "7" -> "8" [label="7", color="brown"];
+  "8" -> "9" [label="8", color="cyan"];
+  "9" -> "10" [label="9", color="black"];
+}
+"""
+    dot = export_graph(crystal_graph((2, 1), 3), "dot")
+    assert [line for line in dot.splitlines() if "->" in line] == [
+        '  "2,1,1" -> "2,1,2" [label="1", color="black"];',
+        '  "2,1,1" -> "3,1,1" [label="2", color="red"];',
+        '  "2,1,2" -> "2,1,3" [label="2", color="red"];',
+        '  "2,1,3" -> "3,1,3" [label="2", color="red"];',
+        '  "3,1,1" -> "3,1,2" [label="1", color="black"];',
+        '  "3,1,2" -> "3,2,2" [label="1", color="black"];',
+        '  "3,1,3" -> "3,2,3" [label="1", color="black"];',
+        '  "3,2,2" -> "3,2,3" [label="2", color="red"];',
+    ]
+
+
+def test_edges_are_vertex_positions_and_no_tableau_is_hashed(monkeypatch):
+    graph = crystal_graph((4, 2, 1), 6)
+    size = len(graph.vertices)
+    assert len(graph.edges) == 6_700
+    for src, colour, dst in graph.edges:
+        assert type(src) is type(colour) is type(dst) is int
+        assert 0 <= src < size and 0 <= dst < size
+        assert f_op(colour, graph.vertices[src]) == graph.vertices[dst]
+    outputs = (
+        export_graph(graph, "dot"),
+        export_graph(graph, "json"),
+        [string_decomposition(graph, i) for i in range(1, 6)],
+    )
+
+    def unhashable(tab):
+        raise AssertionError("a tableau was hashed")
+
+    monkeypatch.setattr(SSYT, "__hash__", unhashable)
+    with pytest.raises(AssertionError, match="hashed"):
+        hash(graph.vertices[0])
+    assert (
+        export_graph(graph, "dot"),
+        export_graph(graph, "json"),
+        [string_decomposition(graph, i) for i in range(1, 6)],
+    ) == outputs
+
+
 def _stdlib_json(graph):
-    index = {tab: pos for pos, tab in enumerate(graph.vertices)}
     payload = {
         "shape": list(graph.shape),
         "n": graph.n,
         "vertices": [ssyt_to_json(t) for t in graph.vertices],
-        "edges": [[index[s], c, index[d]] for s, c, d in graph.edges],
+        "edges": [list(edge) for edge in graph.edges],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
