@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .fillings import SSAF, empty_ssaf, insert_columns, psi_inverse
 from .permutations import orbit_bruhat_leq
-from .shapes import decreasing_rearrangement, reverse
+from .shapes import reverse
 from .tableaux import SSYT, _row_insert
 
 
@@ -177,11 +177,11 @@ def phi(w: Biword, n: int) -> tuple[SSAF, SSAF]:
 
 
 def phi_inverse(f: SSAF, g: SSAF) -> Biword:
-    """Invert the correspondence through the commuting triangle with RSK."""
+    """Invert the correspondence through the commuting triangle with RSK.
+
+    psi_inverse validates F and G; inverse_rsk rejects unequal sorted shapes."""
     if f.n != g.n:
         raise ValueError("basement size mismatch")
-    if decreasing_rearrangement(f.shape) != decreasing_rearrangement(g.shape):
-        raise ValueError("shapes are not rearrangements of each other")
     return inverse_rsk(psi_inverse(f), psi_inverse(g))
 
 

@@ -75,7 +75,10 @@ def _basics_ok(filling: SSAF) -> bool:
     return True
 
 
-def _triples_ok(filling: SSAF) -> bool:
+def validate(filling: SSAF) -> bool:
+    """True iff the filling is a genuine SSAF: the package's one validity test."""
+    if not _basics_ok(filling):
+        return False
     # Inequality form of the two triple conditions (ties resolved by the
     # reading order, which reduces to plain <= between the raw values).
     cols = filling.columns
@@ -102,11 +105,6 @@ def _triples_ok(filling: SSAF) -> bool:
                     if b <= a <= c:
                         return False
     return True
-
-
-def validate(filling: SSAF) -> bool:
-    """True iff the filling is a genuine SSAF."""
-    return _basics_ok(filling) and _triples_ok(filling)
 
 
 def insert_columns(k: int, columns):
@@ -146,13 +144,17 @@ def insert_columns(k: int, columns):
 
 
 def insert_with_chain(k: int, filling: SSAF):
-    """:func:`insert_columns` on an SSAF: (new SSAF, height, column, chain)."""
+    """:func:`validate`, then :func:`insert_columns`: (new SSAF, height, column, chain)."""
+    if not validate(filling):
+        raise ValueError("not a valid SSAF")
     cols, h, col, chain = insert_columns(k, filling.columns)
     return SSAF(cols), h, col, chain
 
 
 def insert(k: int, filling: SSAF) -> tuple[SSAF, int, int]:
     """Insert k; returns the new SSAF with the terminal height and column.
+
+    A ``filling`` that :func:`validate` rejects raises ``ValueError``.
 
     >>> insert(1, key_ssaf((0, 1)))
     (SSAF(columns=((), (2, 1))), 2, 2)
@@ -174,19 +176,18 @@ def psi_inverse(filling: SSAF) -> SSYT:
 
     Mason's map reads row r of the filling as column r of a reverse
     tableau, so Schensted insertion of the rows, top row first and each
-    row in decreasing order, gives the preimage.  One replay of
-    :func:`psi` rejects a filling outside the image.
+    row in decreasing order, gives the preimage.  psi is a bijection onto
+    the fillings :func:`validate` accepts, so others raise ``ValueError``.
     """
+    if not validate(filling):
+        raise ValueError("not a valid SSAF")
     columns = filling.columns
     word = [
         e
         for r in range(max(filling.shape, default=0) - 1, -1, -1)
         for e in sorted((c[r] for c in columns if len(c) > r), reverse=True)
     ]
-    tab = insert_word(word, filling.n)
-    if psi(tab) != filling:
-        raise ValueError("filling is not in the image of psi (not a valid SSAF?)")
-    return tab
+    return insert_word(word, filling.n)
 
 
 def right_key(tab: SSYT) -> SSYT:
@@ -199,12 +200,11 @@ def ssaf_to_json(filling: SSAF) -> dict:
 
 
 def ssaf_from_json(data) -> SSAF:
+    """Check the JSON form only: :func:`insert` and :func:`psi_inverse` validate."""
     filling = SSAF(json_int_lists(data, "columns"))
     n = data.get("n")
     if n is not None and type(n) is not int:
         raise ValueError(f"basement size must be an integer, got {n!r}")
     if n is not None and n != filling.n:
         raise ValueError("declared basement size does not match columns")
-    if not validate(filling):
-        raise ValueError("not a valid SSAF")
     return filling

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import skyline
 from skyline import cli, correspondences
-from skyline.fillings import ssaf_to_json
+from skyline.fillings import key_ssaf, ssaf_to_json
 from skyline.kernel import ExpansionReport
 from skyline.tableaux import insert_word, ssyt_to_json
 from util import biword_multisets
@@ -328,6 +328,29 @@ def test_malformed_json_payload_is_a_usage_error(argv, capsys):
     assert text == ""
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        '{"n": 2, "columns": [[1, 2], []]}',  # an increasing column
+        '{"columns": [[2], []]}',  # a bottom cell that is not its basement value
+        '{"columns": [[1], [2, 1]]}',  # a triple violation
+    ],
+)
+def test_invalid_filling_is_a_usage_error(bad, capsys):
+    # the JSON decoder checks only the form, so each verb's operation rejects
+    # the filling; its partner in phi-inv is valid and has the same shape
+    good = json.dumps(ssaf_to_json(key_ssaf(map(len, json.loads(bad)["columns"]))))
+    for argv in (
+        ["insert", "--k", "1", "--ssaf", bad],
+        ["psi-inv", "--ssaf", bad],
+        ["phi-inv", "--f", bad, "--g", good],
+        ["phi-inv", "--f", good, "--g", bad],
+    ):
+        assert run_cli(argv) == (2, "")
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 DEEP_JSON = "[" * 100000

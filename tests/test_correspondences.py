@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skyline import correspondences
+from skyline import correspondences, fillings
 from skyline.correspondences import (
     Biword,
     biword_from_json,
@@ -20,11 +21,11 @@ from skyline.correspondences import (
     phi_inverse,
     rsk,
 )
-from skyline.fillings import SSAF, empty_ssaf, validate
+from skyline.fillings import SSAF, empty_ssaf, psi_inverse, validate
 from skyline.permutations import orbit_bruhat_leq
 from skyline.shapes import reverse
 from oracles import alphabet_support_check, phi_steps, rsk_commutes_check, swap_rows
-from util import biword_multisets
+from util import biword_multisets, raw_fillings
 
 W1 = parse_biword("4 6 6 7 / 4 1 2 1")
 W2 = parse_biword("1 2 3 3 5 6 / 6 3 2 4 3 1")
@@ -127,6 +128,38 @@ def test_phi_inverse_empty_and_errors():
     assert phi_inverse(empty_ssaf(2), empty_ssaf(2)) == Biword(())
     with pytest.raises(ValueError):
         phi_inverse(SSAF(((1,), ())), SSAF(((1,), (2,))))
+
+
+def test_phi_inverse_rejects_exactly_the_pairs_whose_shapes_differ():
+    # inverse_rsk's shape check is the only one: every pair of valid fillings
+    # with 1 <= n <= 3 and at most 4 cells, sorted shapes equal or not
+    checked = 0
+    for n in range(1, 4):
+        valid = [f for f in map(SSAF, raw_fillings(n, 4)) if validate(f)]
+        for f, g in itertools.product(valid, repeat=2):
+            if sorted(f.shape) == sorted(g.shape):
+                assert phi(phi_inverse(f, g), n) == (f, g)
+            else:
+                with pytest.raises(ValueError):
+                    phi_inverse(f, g)
+            checked += 1
+    assert checked == 5550
+
+
+def test_inverses_never_replay_psi(monkeypatch):
+    cases = []
+    for pairs in biword_multisets(3, 3):
+        w = Biword(pairs)
+        f, g = phi(w, 3)
+        cases.append((w, f, g, psi_inverse(f)))
+
+    def replay(tab):
+        raise AssertionError("psi called by an inverse")
+
+    monkeypatch.setattr(fillings, "psi", replay)
+    for w, f, g, tab in cases:
+        assert psi_inverse(f) == tab
+        assert phi_inverse(f, g) == w
 
 
 def test_phi_inverse_exhaustive():

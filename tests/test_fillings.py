@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from skyline.fillings import (
@@ -24,7 +22,7 @@ from oracles import (
     reading_word,
     validate_via_orientation,
 )
-from util import partitions_up_to, small_compositions
+from util import partitions_up_to, raw_fillings, small_compositions
 
 KNOWN_FILLING = SSAF(((1,), (), (3, 3, 1), (4, 2), (), (6,)))  # shape (1,0,3,2,0,1)
 BUMP_START = SSAF(((), (), (3, 2, 1), (4, 1), (), (6,)))  # insertion example
@@ -55,17 +53,31 @@ def test_validate_rejects_triple_violations():
     assert validate(SSAF(((1,), (2, 2, 2), (3, 3))))
 
 
+# every raw filling with n = 1 or 2 up to 6 cells, n = 3 up to 5, n = 4 up to 4
+RAW_SWEEP = ((1, 6), (2, 6), (3, 5), (4, 4))
+
+
+def _swept_fillings():
+    for n, max_cells in RAW_SWEEP:
+        yield from map(SSAF, raw_fillings(n, max_cells))
+
+
 def test_validators_agree_on_raw_fillings():
-    # all raw column fillings, valid or not, for shapes over a 3-basement
-    for shape in small_compositions(3, 2, min_len=3):
-        if len(shape) != 3 or sum(shape) > 4:
-            continue
-        ranges = [
-            itertools.product(range(1, 4), repeat=h) if h else [()] for h in shape
-        ]
-        for combo in itertools.product(*ranges):
-            filling = SSAF(tuple(tuple(c) for c in combo))
-            assert validate(filling) == validate_via_orientation(filling)
+    fillings = list(_swept_fillings())
+    valid = [filling for filling in fillings if validate_via_orientation(filling)]
+    assert (len(fillings), len(valid)) == (17845, 378)
+    for filling in fillings:
+        assert validate(filling) == validate_via_orientation(filling)
+
+
+def test_psi_inverse_accepts_exactly_the_valid_raw_fillings():
+    # psi is a bijection onto valid SSAFs, so psi_inverse needs no replay
+    for filling in _swept_fillings():
+        if validate_via_orientation(filling):
+            assert psi(psi_inverse(filling)) == filling
+        else:
+            with pytest.raises(ValueError):
+                psi_inverse(filling)
 
 
 def test_key_ssaf_exhaustive_valid():
@@ -103,6 +115,25 @@ def test_insert_small_trace():
 def test_insert_rejects_out_of_alphabet():
     with pytest.raises(ValueError):
         insert(3, key_ssaf((1, 0)))
+
+
+def test_insert_rejects_every_invalid_raw_filling():
+    # every raw filling with n <= 3 and at most 4 cells, with every letter
+    rejected = 0
+    for n in range(4):
+        for columns in raw_fillings(n, 4):
+            filling = SSAF(columns)
+            valid = validate_via_orientation(filling)
+            for k in range(1, n + 1):
+                if valid:
+                    assert insert_with_chain(k, filling) == insert_by_reading_order(
+                        k, filling
+                    )
+                else:
+                    with pytest.raises(ValueError):
+                        insert(k, filling)
+                    rejected += 1
+    assert rejected == 4648
 
 
 def test_insert_preserves_validity_and_content():
@@ -270,5 +301,14 @@ def test_atom_bridge_ssaf_vs_right_key():
 def test_json_roundtrip():
     data = ssaf_to_json(KNOWN_FILLING)
     assert ssaf_from_json(data) == KNOWN_FILLING
-    with pytest.raises(ValueError):
-        ssaf_from_json({"n": 2, "columns": [[1, 2], []]})
+    # the decoder checks the form only; the operations reject invalid fillings
+    assert ssaf_from_json({"n": 2, "columns": [[1, 2], []]}) == SSAF(((1, 2), ()))
+    for bad in (
+        {"n": 3, "columns": [[1], []]},
+        {"columns": [[3], []]},
+        {"columns": [[1], [0]]},
+        {"n": "2", "columns": [[1], []]},
+        {"columns": [[1.0], []]},
+    ):
+        with pytest.raises(ValueError):
+            ssaf_from_json(bad)

@@ -1,6 +1,8 @@
 """Shared enumeration helpers for the test suite."""
 import itertools
 
+from skyline.shapes import compositions_with_sum
+
 # the (shape, n) pairs and compositions of the bench's crystal workload
 BENCH_SHAPES = [
     ((4, 2, 1), 6), ((5, 3, 1), 5), ((3, 3), 6), ((4, 2), 5),
@@ -43,3 +45,16 @@ def biword_multisets(n, max_len, cells=None):
         cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     for r in range(max_len + 1):
         yield from itertools.combinations_with_replacement(cells, r)
+
+
+def raw_fillings(n, max_cells):
+    """Every column filling over [n] with at most max_cells cells, valid or not.
+
+    Yields plain column tuples with entries in 1..n.
+    """
+    letters = range(1, n + 1)
+    for size in range(max_cells + 1):
+        for shape in compositions_with_sum(size, n):
+            yield from itertools.product(
+                *(itertools.product(letters, repeat=h) for h in shape)
+            )
