@@ -8,10 +8,12 @@ left) into one filling while recording the top row in a second one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
+from .demazure import atom
 from .fillings import SSAF, empty_ssaf, insert_columns, psi_inverse
 from .permutations import orbit_bruhat_leq
-from .shapes import reverse
+from .shapes import compositions_with_sum, decreasing_rearrangement, reverse
 from .tableaux import SSYT, _row_insert
 
 
@@ -133,23 +135,28 @@ def _place_in_recording(cols, letter: int, h: int):
     return cols[:c] + (cols[c] + (letter,),) + cols[c + 1 :]
 
 
-def _step_columns(f, g, i: int, j: int, inserted, recorded):
+def _step_columns(f, g, i: int, j: int, inserted=None, recorded=None):
     """One step of phi: extend raw (insertion, recording) columns by (i, j).
 
     F depends only on the bottom letters and G only on the top letters and
-    the heights insertion reached, so the caller's tables memoise the
-    insertion by (F, j) in ``inserted`` and the recording by (G, i, h) in
-    ``recorded``.  Each entry keeps its sorted heights for the shape check.
+    the heights insertion reached, so a caller that revisits prefixes passes
+    tables that memoise the insertion by (F, j) in ``inserted`` and the
+    recording by (G, i, h) in ``recorded``; without them nothing is kept.
+    Each entry keeps its sorted heights for the shape check.
     """
-    step = inserted.get((f, j))
+    step = None if inserted is None else inserted.get((f, j))
     if step is None:
         f2, h, _, _ = insert_columns(j, f)
-        step = inserted[f, j] = f2, h, sorted(map(len, f2))
+        step = f2, h, sorted(map(len, f2))
+        if inserted is not None:
+            inserted[f, j] = step
     f, h, f_heights = step
-    record = recorded.get((g, i, h))
+    record = None if recorded is None else recorded.get((g, i, h))
     if record is None:
         g2 = _place_in_recording(g, i, h)
-        record = recorded[g, i, h] = g2, sorted(map(len, g2))
+        record = g2, sorted(map(len, g2))
+        if recorded is not None:
+            recorded[g, i, h] = record
     g, g_heights = record
     # the two shapes stay rearrangements of each other at every stage
     if f_heights != g_heights:
@@ -161,7 +168,8 @@ def phi(w: Biword, n: int) -> tuple[SSAF, SSAF]:
     """The skyline analogue of RSK: biword -> (insertion, recording) SSAFs.
 
     Right to left, each biletter (i, j) inserts j into F and records i in G
-    at the height that insertion reached.
+    at the height that insertion reached.  One biword never revisits a
+    prefix, so its steps keep no memo tables.
 
     >>> phi(parse_biword("1 1 2 / 1 2 1"), 2)[0].columns
     ((1, 1), (2,))
@@ -170,9 +178,8 @@ def phi(w: Biword, n: int) -> tuple[SSAF, SSAF]:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"biletter ({i}, {j}) exceeds the alphabet [1, {n}]")
     f = g = empty_ssaf(n).columns
-    inserted, recorded = {}, {}
     for i, j in reversed(w.pairs):
-        f, g = _step_columns(f, g, i, j, inserted, recorded)
+        f, g = _step_columns(f, g, i, j)
     return SSAF(f), SSAF(g)
 
 
@@ -198,33 +205,124 @@ def main_theorem_predicate(w: Biword, n: int) -> tuple[bool, bool]:
     return lhs, rhs
 
 
-def criterion_sweep(n: int, max_len: int):
-    """Both sides of the staircase criterion for every biword over [n] x [n].
+def _walk(n: int, max_len: int, cells):
+    """Every biword of length <= ``max_len`` with its biletters in ``cells``.
 
-    Yields ``(pairs, lhs, rhs)`` as :func:`main_theorem_predicate` gives
-    them for ``Biword(pairs)``, once per biword of length <= ``max_len``, in
-    no fixed order.  phi reads the last biletter first, so a depth-first
-    search that prepends biletters in non-increasing lexicographic order
-    gets each child's (F, G) from its parent's by one :func:`_step_columns`,
-    and each distinct shape pair costs one Bruhat test.  The step's memo
-    tables and the Bruhat results live for one call.
+    Yields ``(pairs, shapes)`` once per biword, in no fixed order, with
+    ``shapes`` the shape of G followed by the shape of F.  ``cells`` must be
+    in lexicographic order.  phi reads the last biletter first, so a
+    depth-first search that prepends biletters in non-increasing
+    lexicographic order gets each child's (F, G) from its parent's by one
+    :func:`_step_columns`.  The step's memo tables live for one call.
     """
     if n < 0 or max_len < 0:
         raise ValueError(f"need n >= 0 and max_len >= 0, got {n} and {max_len}")
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     empty = empty_ssaf(n).columns
-    bruhat = {}  # sh(G) + sh(F) -> rhs; shape pairs repeat across many nodes
     inserted, recorded = {}, {}
-    # (pairs, lhs, columns of F, columns of G, number of cells still prependable)
-    stack = [((), True, empty, empty, len(cells))]
+    # (pairs, columns of F, columns of G, number of cells still prependable)
+    stack = [((), empty, empty, len(cells))]
     while stack:
-        pairs, lhs, f, g, allowed = stack.pop()
-        shapes = tuple(map(len, g + f))
-        rhs = bruhat.get(shapes)
-        if rhs is None:
-            rhs = bruhat[shapes] = orbit_bruhat_leq(shapes[:n], reverse(shapes[n:]))
-        yield pairs, lhs, rhs
+        pairs, f, g, allowed = stack.pop()
+        yield pairs, tuple(map(len, g + f))
         if len(pairs) < max_len:
             for c, (i, j) in enumerate(cells[:allowed]):
                 f2, g2 = _step_columns(f, g, i, j, inserted, recorded)
-                stack.append((((i, j),) + pairs, lhs and i + j <= n + 1, f2, g2, c + 1))
+                stack.append((((i, j),) + pairs, f2, g2, c + 1))
+
+
+@dataclass(frozen=True)
+class CriterionReport:
+    """Outcome of :func:`verify_criterion`, each list sorted.
+
+    ``checked`` counts the biwords over [n] x [n] of length <= ``max_len``.
+    ``inside`` lists the biwords in the staircase whose Bruhat side fails.
+    ``totals`` lists ``(length, atom_sum, multisets)`` where the sum of
+    N(sh F) * N(sh G) over the shape pairs misses the number of multisets.
+    ``outside`` lists ``(length, sh G, sh F, expected, tally)`` for each pair
+    whose Bruhat side holds but whose in-staircase tally is not
+    ``expected = N(sh F) * N(sh G)``.
+    """
+
+    n: int
+    max_len: int
+    checked: int
+    inside: list
+    totals: list
+    outside: list
+
+    @property
+    def holds(self) -> bool:
+        return not (self.inside or self.totals or self.outside)
+
+    def summary(self) -> str:
+        n = self.n
+        lines = [f"checked {self.checked} biwords over [{n}]x[{n}], length <= {self.max_len}"]
+        lines += [
+            f"MISMATCH {format_biword(Biword(pairs))}: staircase=True bruhat=False"
+            for pairs in self.inside
+        ]
+        lines += [
+            f"MISMATCH length {d}: N(sh F)*N(sh G) sums to {total}, "
+            f"not C({n * n + d - 1}, {d}) = {multisets}"
+            for d, total, multisets in self.totals
+        ]
+        lines += [
+            f"MISMATCH length {d} sh(G)={beta} sh(F)={alpha}: {expected - tally} biwords "
+            f"with staircase=False bruhat=True (N(sh F)*N(sh G) = {expected}, {tally} inside)"
+            for d, beta, alpha, expected, tally in self.outside
+        ]
+        if self.holds:
+            lines.append("all biwords satisfy the equivalence")
+        return "\n".join(lines)
+
+
+def verify_criterion(n: int, max_len: int) -> CriterionReport:
+    """The staircase criterion for every biword over [n] x [n] of length
+    <= ``max_len``: its cells satisfy i + j <= n + 1 iff the recording shape
+    is below the reversed insertion shape in the orbit Bruhat order.
+
+    Only the biwords inside the staircase are walked; each must satisfy the
+    Bruhat side.  The rest are counted.  phi is a bijection from the biwords
+    of length d onto the pairs (F, G) of SSAFs whose shapes are
+    rearrangements of each other (Mason 2008), and the SSAFs of shape gamma
+    number N(gamma), the coefficient sum of ``atom(gamma)`` (Mason 2009).
+    So no biword outside the staircase reaches a shape pair whose Bruhat
+    side holds iff every such pair is reached by N(sh F) * N(sh G) biwords
+    of the walk.  At each length the sum of N(sh F) * N(sh G) over all
+    shape pairs must be the number of multisets of d cells of [n]^2 (the
+    Cauchy identity at x = y = 1), which guards N.
+
+    >>> print(verify_criterion(2, 2).summary())
+    checked 15 biwords over [2]x[2], length <= 2
+    all biwords satisfy the equivalence
+    """
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n + 1]
+    bruhat = {}  # sh(G) + sh(F) -> Bruhat side; shape pairs repeat across many nodes
+    tally = {}
+    inside = []
+    for pairs, shapes in _walk(n, max_len, cells):
+        tally[shapes] = tally.get(shapes, 0) + 1
+        rhs = bruhat.get(shapes)
+        if rhs is None:
+            rhs = bruhat[shapes] = orbit_bruhat_leq(shapes[:n], reverse(shapes[n:]))
+        if not rhs:
+            inside.append(pairs)
+    checked, totals, outside = 0, [], []
+    for d in range(max_len + 1):
+        orbits = {}
+        for gamma in compositions_with_sum(d, n):
+            orbits.setdefault(decreasing_rearrangement(gamma), []).append(gamma)
+        total = 0
+        for orbit in orbits.values():
+            counts = {gamma: sum(atom(gamma).terms.values()) for gamma in orbit}
+            total += sum(counts.values()) ** 2
+            for beta in orbit:
+                for alpha in orbit:
+                    expected, reached = counts[alpha] * counts[beta], tally.get(beta + alpha, 0)
+                    if reached != expected and orbit_bruhat_leq(beta, reverse(alpha)):
+                        outside.append((d, beta, alpha, expected, reached))
+        multisets = comb(max(n * n + d - 1, 0), d)  # n = d = 0: the empty biword
+        if total != multisets:
+            totals.append((d, total, multisets))
+        checked += multisets
+    return CriterionReport(n, max_len, checked, sorted(inside), totals, sorted(outside))

@@ -11,6 +11,7 @@ from functools import lru_cache
 from math import factorial
 from operator import add
 
+from skyline import correspondences
 from skyline.correspondences import Biword, phi, rsk
 from skyline.crystal import CrystalGraph, crystal_graph, demazure_crystal
 from skyline.demazure import pi_op
@@ -747,6 +748,44 @@ def is_key_by_columns(tab: SSYT) -> bool:
         {row[c] for row in tab.rows if len(row) > c} for c in range(width)
     ]
     return all(cols[j + 1] <= cols[j] for j in range(width - 1))
+
+
+def key_columns_leq(alpha1, alpha2) -> bool:
+    """The orbit Bruhat order by its definition, rebuilt on every call:
+    the key columns of two rearrangements compared entrywise."""
+    if decreasing_rearrangement(alpha1) != decreasing_rearrangement(alpha2):
+        raise ValueError(f"{alpha1} and {alpha2} are not rearrangements of each other")
+    return all(
+        a <= b
+        for c1, c2 in zip(key_columns(alpha1), key_columns(alpha2))
+        for a, b in zip(c1, c2)
+    )
+
+
+def square_walk(n: int, max_len: int):
+    """The package's depth-first walk over all n^2 cells of [n] x [n]:
+    ``(pairs, sh G + sh F)`` once per biword of length <= ``max_len``."""
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return correspondences._walk(n, max_len, cells)
+
+
+def criterion_sweep(n: int, max_len: int):
+    """Both sides of the staircase criterion for every biword over [n] x [n].
+
+    Yields ``(pairs, lhs, rhs)`` as ``main_theorem_predicate`` gives them
+    for ``Biword(pairs)``, once per biword of length <= ``max_len``, in no
+    fixed order: the full sweep that ``verify_criterion`` replaces by a walk
+    inside the staircase and a count.  Each distinct shape pair costs one
+    Bruhat test, made through ``correspondences`` so that a patch reaches it.
+    """
+    bruhat = {}
+    for pairs, shapes in square_walk(n, max_len):
+        rhs = bruhat.get(shapes)
+        if rhs is None:
+            rhs = bruhat[shapes] = correspondences.orbit_bruhat_leq(
+                shapes[:n], reverse(shapes[n:])
+            )
+        yield pairs, all(i + j <= n + 1 for i, j in pairs), rhs
 
 
 def phi_steps(w: Biword, n: int) -> list[tuple[SSAF, SSAF]]:

@@ -16,6 +16,7 @@ from skyline import cli, correspondences
 from skyline.fillings import key_ssaf, ssaf_to_json
 from skyline.kernel import ExpansionReport
 from skyline.tableaux import insert_word, ssyt_to_json
+from oracles import square_walk
 from util import biword_multisets
 
 
@@ -156,6 +157,114 @@ def test_verify_main_mismatches_exit_1_sorted(monkeypatch):
         "staircase=True bruhat=False"
         for pairs in inside
     ]
+
+
+# The corruptions below each break one side of the count route at n = 3 up
+# to length 3.  Each must exit 1, name what broke, and print the same text
+# on every run.
+CORRUPT = ["verify-main", "--n", "3", "--max-len", "3"]
+
+
+def _inside_by_pair():
+    """The staircase's biwords at n = 3 up to length 3, per sh(G) + sh(F)."""
+    by_pair = {}
+    for pairs, shapes in square_walk(3, 3):
+        if all(i + j <= 4 for i, j in pairs):
+            by_pair.setdefault(shapes, []).append(pairs)
+    return by_pair
+
+
+def _run_corrupted():
+    code, text = run_cli(CORRUPT)
+    assert code == 1
+    assert run_cli(CORRUPT) == (code, text)
+    lines = text.splitlines()
+    assert lines[0] == "checked 220 biwords over [3]x[3], length <= 3"
+    assert "all biwords satisfy the equivalence" not in text
+    return lines[1:]
+
+
+def _outside_lines(rows):
+    """The count failures for ``(shapes, missing, expected)`` rows, sorted by
+    (length, sh G, sh F)."""
+    lines = []
+    for shapes, missing, expected in rows:
+        beta, alpha = shapes[:3], shapes[3:]
+        line = (
+            f"MISMATCH length {sum(beta)} sh(G)={beta} sh(F)={alpha}: {missing} biwords "
+            f"with staircase=False bruhat=True (N(sh F)*N(sh G) = {expected}, "
+            f"{expected - missing} inside)"
+        )
+        lines.append(((sum(beta), beta, alpha), line))
+    return [line for _, line in sorted(lines)]
+
+
+def test_verify_main_names_a_pair_whose_bruhat_side_is_broken(monkeypatch):
+    by_pair = _inside_by_pair()
+    broken = max(sorted(by_pair), key=lambda shapes: len(by_pair[shapes]))
+    real = correspondences.orbit_bruhat_leq
+
+    def patched(a1, a2):
+        return tuple(a1) + tuple(reversed(a2)) != broken and real(a1, a2)
+
+    monkeypatch.setattr(correspondences, "orbit_bruhat_leq", patched)
+    assert _run_corrupted() == [
+        f"MISMATCH {correspondences.format_biword(correspondences.Biword(pairs))}: "
+        "staircase=True bruhat=False"
+        for pairs in sorted(by_pair[broken])
+    ]
+
+
+def test_verify_main_names_the_pairs_a_dropped_cell_reaches(monkeypatch):
+    dropped = (1, 2)
+    by_pair = _inside_by_pair()  # before the patch, which the oracle's walk shares
+    walk = correspondences._walk
+    monkeypatch.setattr(
+        correspondences, "_walk",
+        lambda n, max_len, cells: walk(n, max_len, [c for c in cells if c != dropped]),
+    )
+    expected = _outside_lines(
+        (shapes, missing, len(biwords))
+        for shapes, biwords in by_pair.items()
+        if (missing := sum(dropped in pairs for pairs in biwords))
+    )
+    assert expected
+    assert _run_corrupted() == expected
+
+
+def test_verify_main_names_an_atom_count_off_by_one(monkeypatch):
+    from skyline.demazure import atom
+    from skyline.polynomials import SparsePoly
+
+    off = (1, 0, 1)
+    monkeypatch.setattr(
+        correspondences, "atom",
+        lambda gamma: atom(gamma) + SparsePoly.monomial(1, off) if gamma == off else atom(gamma),
+    )
+    count = lambda gamma: sum(atom(gamma).terms.values()) + (gamma == off)
+    orbit = [(1, 0, 1), (1, 1, 0), (0, 1, 1)]
+    by_pair = _inside_by_pair()
+    rows = []
+    for shapes, biwords in by_pair.items():
+        if off in (shapes[:3], shapes[3:]):
+            expected = count(shapes[:3]) * count(shapes[3:])
+            rows.append((shapes, expected - len(biwords), expected))
+    # the Cauchy identity at length 2 gains 2 * (sum of N over the orbit) + 1
+    orbit_sum = sum(count(gamma) for gamma in orbit) - 1
+    assert _run_corrupted() == [
+        f"MISMATCH length 2: N(sh F)*N(sh G) sums to {45 + 2 * orbit_sum + 1}, "
+        "not C(10, 2) = 45"
+    ] + _outside_lines(rows)
+
+
+def test_verify_main_names_every_outside_biword_under_a_true_bruhat_side(monkeypatch):
+    monkeypatch.setattr(correspondences, "orbit_bruhat_leq", lambda a1, a2: True)
+    outside, reached = {}, {}
+    for pairs, shapes in square_walk(3, 3):
+        reached[shapes] = reached.get(shapes, 0) + 1
+        if any(i + j > 4 for i, j in pairs):
+            outside[shapes] = outside.get(shapes, 0) + 1
+    assert _run_corrupted() == _outside_lines((s, outside[s], reached[s]) for s in outside)
 
 
 def test_verify_kernel_small():

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from skyline.correspondences import (
     Biword,
     biword_from_json,
     biword_to_json,
-    criterion_sweep,
     format_biword,
     from_multiset,
     inverse_rsk,
@@ -20,11 +20,19 @@ from skyline.correspondences import (
     phi,
     phi_inverse,
     rsk,
+    verify_criterion,
 )
 from skyline.fillings import SSAF, empty_ssaf, psi_inverse, validate
 from skyline.permutations import orbit_bruhat_leq
 from skyline.shapes import reverse
-from oracles import alphabet_support_check, phi_steps, rsk_commutes_check, swap_rows
+from oracles import (
+    alphabet_support_check,
+    criterion_sweep,
+    phi_steps,
+    rsk_commutes_check,
+    square_walk,
+    swap_rows,
+)
 from util import biword_multisets, raw_fillings
 
 W1 = parse_biword("4 6 6 7 / 4 1 2 1")
@@ -328,6 +336,66 @@ def test_criterion_sweep_inserts_once_per_bottom_prefix_and_letter(
     for _ in criterion_sweep(n, max_len):
         pass
     assert len(calls) <= n * sum(n**l for l in range(max_len))
+
+
+def test_phi_keeps_no_memo_tables(monkeypatch):
+    # one biword never revisits a prefix, so a table filled by phi never hits
+    calls = []
+    step = correspondences._step_columns
+
+    def recording(f, g, i, j, inserted=None, recorded=None):
+        calls.append((inserted, recorded))
+        return step(f, g, i, j, inserted, recorded)
+
+    monkeypatch.setattr(correspondences, "_step_columns", recording)
+    phi(W1, 7)
+    assert calls == [(None, None)] * len(W1)
+
+
+# the count route against the full sweep: every n <= 4 up to length 4, and
+# n = 5 up to length 5
+SWEPT = [(n, 4) for n in range(5)] + [(5, 5)]
+
+
+@pytest.mark.parametrize("n, top", SWEPT)
+def test_count_route_matches_the_full_sweep(n, top):
+    swept = list(criterion_sweep(n, top))
+    for max_len in range(top + 1):
+        within = [(lhs, rhs) for pairs, lhs, rhs in swept if len(pairs) <= max_len]
+        report = verify_criterion(n, max_len)
+        assert report.checked == len(within)
+        assert report.checked == sum(comb(n * n + d - 1, d) if n else d == 0
+                                     for d in range(max_len + 1))
+        assert report.holds == all(lhs == rhs for lhs, rhs in within)
+        assert report.holds
+
+
+def _outside_by_pair(n, max_len):
+    """Biwords of the full sweep outside the staircase, per (length, sh G, sh F)."""
+    counts = Counter()
+    for pairs, shapes in square_walk(n, max_len):
+        if any(i + j > n + 1 for i, j in pairs):
+            counts[len(pairs), shapes[:n], shapes[n:]] += 1
+    return counts
+
+
+@pytest.mark.parametrize("n, top", SWEPT[1:])
+def test_count_route_names_the_outside_biwords_of_each_pair(monkeypatch, n, top):
+    # with the Bruhat side patched to True, every biword outside the
+    # staircase is a staircase=False bruhat=True mismatch of the full sweep
+    monkeypatch.setattr(correspondences, "orbit_bruhat_leq", lambda a1, a2: True)
+    outside = _outside_by_pair(n, top)
+    assert outside or n == 1  # [1]x[1] is its own staircase
+    assert sum(outside.values()) == sum(
+        1 for _, lhs, rhs in criterion_sweep(n, top) if rhs and not lhs
+    )
+    for max_len in range(top + 1):
+        report = verify_criterion(n, max_len)
+        named = {(d, beta, alpha): expected - tally
+                 for d, beta, alpha, expected, tally in report.outside}
+        assert named == {key: c for key, c in outside.items() if key[0] <= max_len}
+        assert report.inside == [] and report.totals == []
+        assert report.holds == (not named)
 
 
 def _count_dominance(f, g, j_col, i_col):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from skyline import permutations
 from skyline.permutations import orbit_bruhat_leq
-from skyline.shapes import decreasing_rearrangement
+from skyline.shapes import compositions_with_sum, decreasing_rearrangement
 from oracles import (
     act,
     apply_word,
@@ -15,6 +16,7 @@ from oracles import (
     from_word,
     identity,
     is_reduced,
+    key_columns_leq,
     length,
     longest,
     min_coset_rep,
@@ -116,6 +118,50 @@ def test_orbit_bruhat_examples():
 def test_orbit_bruhat_rejects_different_multisets():
     with pytest.raises(ValueError):
         orbit_bruhat_leq((1, 0), (1, 1))
+
+
+def test_orbit_bruhat_matches_the_uncached_key_columns_exhaustive():
+    permutations._key_word.cache_clear()
+    pairs = 0
+    for n in range(6):
+        for d in range(6):
+            orbits = {}
+            for gamma in compositions_with_sum(d, n):
+                orbits.setdefault(decreasing_rearrangement(gamma), []).append(gamma)
+            for members in orbits.values():
+                for a1 in members:
+                    for a2 in members:
+                        assert orbit_bruhat_leq(a1, a2) == key_columns_leq(a1, a2)
+                        pairs += 1
+    assert pairs == 6_628
+
+
+@pytest.mark.parametrize(
+    "a1, a2", [((1, 0), (1, 1)), ((1, 0), (1,)), ((2, 0), (1, 1)), ((), (0,)), ((0, 3), (2, 1))]
+)
+def test_orbit_bruhat_rejects_non_rearrangements_with_cached_words(a1, a2):
+    for _ in range(2):  # the second pass finds both key words cached
+        with pytest.raises(ValueError, match="not rearrangements"):
+            orbit_bruhat_leq(a1, a2)
+        with pytest.raises(ValueError, match="not rearrangements"):
+            orbit_bruhat_leq(a2, a1)
+    with pytest.raises(ValueError):
+        key_columns_leq(a1, a2)
+
+
+def test_orbit_bruhat_builds_each_key_word_once_in_a_functools_cache():
+    cache = permutations._key_word
+    # the bench clears every functools cache bound in a package module
+    assert type(cache).__module__ == "functools" and callable(cache.cache_clear)
+    assert vars(permutations)["_key_word"] is cache
+    cache.cache_clear()
+    assert orbit_bruhat_leq((2, 0, 1), (1, 0, 2))
+    assert cache.cache_info().currsize == 2
+    assert not orbit_bruhat_leq([1, 0, 2], [2, 0, 1])
+    info = cache.cache_info()
+    assert (info.currsize, info.hits) == (2, 2)
+    cache.cache_clear()
+    assert cache.cache_info().currsize == 0
 
 
 def test_orbit_bruhat_via_evacuated_keys():
