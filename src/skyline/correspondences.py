@@ -121,55 +121,53 @@ def inverse_rsk(p: SSYT, q: SSYT) -> Biword:
     return Biword(tuple(reversed(pairs)))
 
 
-def _place_in_recording(cols, letter: int, h: int):
-    """Step 3 of the correspondence: record ``letter`` at height ``h``.
+def _recording_column(heights, letter: int, h: int) -> int:
+    """Step 3 of the correspondence: the column of G that records ``letter``
+    at height ``h``, read from G's heights alone.
 
     Height 1 starts column ``letter``; otherwise the leftmost column of
-    height h-1 whose top is >= ``letter`` grows by one cell.
+    height h-1 grows by one cell.  Mason's rule also asks that column's top
+    be >= ``letter``, but G records the top letters of a lexicographic biword
+    right to left, in non-increasing order, so every entry already in G is.
     """
-    c = letter - 1 if h == 1 else next(
-        (c for c, col in enumerate(cols) if len(col) == h - 1 and col[-1] >= letter), None
-    )
-    if c is None or len(cols[c]) != h - 1:
+    c = letter - 1 if h == 1 else heights.index(h - 1) if h - 1 in heights else None
+    if c is None or heights[c] != h - 1:
         raise AssertionError("no admissible column for the recording placement")
-    return cols[:c] + (cols[c] + (letter,),) + cols[c + 1 :]
+    return c
 
 
-def _step_columns(f, g, i: int, j: int, inserted=None, recorded=None):
-    """One step of phi: extend raw (insertion, recording) columns by (i, j).
+def _step_columns(f, heights, i: int, j: int, inserted=None):
+    """One step of phi: insert j into F's raw columns and record i on G's heights.
 
-    F depends only on the bottom letters and G only on the top letters and
-    the heights insertion reached, so a caller that revisits prefixes passes
-    tables that memoise the insertion by (F, j) in ``inserted`` and the
-    recording by (G, i, h) in ``recorded``; without them nothing is kept.
-    Each entry keeps its sorted heights for the shape check.
+    Returns F, sh F, G's new heights and the column that records i.  F
+    depends only on the bottom letters and G's heights only on the top
+    letters and the heights insertion reached, so a caller that revisits
+    prefixes passes a table that memoises the insertion by (F, j) in
+    ``inserted``; without it nothing is kept.  Each entry keeps sh F, and
+    its sorted heights for the shape check.
     """
     step = None if inserted is None else inserted.get((f, j))
     if step is None:
         f2, h, _, _ = insert_columns(j, f)
-        step = f2, h, sorted(map(len, f2))
+        shape = tuple(map(len, f2))
+        step = f2, h, shape, sorted(shape)
         if inserted is not None:
             inserted[f, j] = step
-    f, h, f_heights = step
-    record = None if recorded is None else recorded.get((g, i, h))
-    if record is None:
-        g2 = _place_in_recording(g, i, h)
-        record = g2, sorted(map(len, g2))
-        if recorded is not None:
-            recorded[g, i, h] = record
-    g, g_heights = record
+    f, h, shape, f_sorted = step
+    c = _recording_column(heights, i, h)
+    heights = heights[:c] + (h,) + heights[c + 1 :]
     # the two shapes stay rearrangements of each other at every stage
-    if f_heights != g_heights:
+    if sorted(heights) != f_sorted:
         raise AssertionError("insertion and recording shapes diverged")
-    return f, g
+    return f, shape, heights, c
 
 
 def phi(w: Biword, n: int) -> tuple[SSAF, SSAF]:
     """The skyline analogue of RSK: biword -> (insertion, recording) SSAFs.
 
-    Right to left, each biletter (i, j) inserts j into F and records i in G
-    at the height that insertion reached.  One biword never revisits a
-    prefix, so its steps keep no memo tables.
+    Right to left, each biletter (i, j) inserts j into F and records i at the
+    height insertion reached, in a column chosen by G's heights alone.  One
+    biword never revisits a prefix, so its steps keep no memo table.
 
     >>> phi(parse_biword("1 1 2 / 1 2 1"), 2)[0].columns
     ((1, 1), (2,))
@@ -177,10 +175,11 @@ def phi(w: Biword, n: int) -> tuple[SSAF, SSAF]:
     for i, j in w.pairs:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"biletter ({i}, {j}) exceeds the alphabet [1, {n}]")
-    f = g = empty_ssaf(n).columns
+    f, heights, g = empty_ssaf(n).columns, (0,) * n, [[] for _ in range(n)]
     for i, j in reversed(w.pairs):
-        f, g = _step_columns(f, g, i, j)
-    return SSAF(f), SSAF(g)
+        f, _, heights, c = _step_columns(f, heights, i, j)
+        g[c].append(i)
+    return SSAF(f), SSAF(tuple(map(tuple, g)))
 
 
 def phi_inverse(f: SSAF, g: SSAF) -> Biword:
@@ -212,22 +211,22 @@ def _walk(n: int, max_len: int, cells):
     ``shapes`` the shape of G followed by the shape of F.  ``cells`` must be
     in lexicographic order.  phi reads the last biletter first, so a
     depth-first search that prepends biletters in non-increasing
-    lexicographic order gets each child's (F, G) from its parent's by one
-    :func:`_step_columns`.  The step's memo tables live for one call.
+    lexicographic order gets each child's F and G's heights (G's entries
+    never decide a step) from its parent's by one :func:`_step_columns`,
+    whose memo table lives for one call.
     """
     if n < 0 or max_len < 0:
         raise ValueError(f"need n >= 0 and max_len >= 0, got {n} and {max_len}")
-    empty = empty_ssaf(n).columns
-    inserted, recorded = {}, {}
-    # (pairs, columns of F, columns of G, number of cells still prependable)
-    stack = [((), empty, empty, len(cells))]
+    inserted, empty = {}, (0,) * n
+    # (pairs, columns of F, sh F, heights of G, number of cells still prependable)
+    stack = [((), empty_ssaf(n).columns, empty, empty, len(cells))]
     while stack:
-        pairs, f, g, allowed = stack.pop()
-        yield pairs, tuple(map(len, g + f))
+        pairs, f, f_shape, g, allowed = stack.pop()
+        yield pairs, g + f_shape
         if len(pairs) < max_len:
             for c, (i, j) in enumerate(cells[:allowed]):
-                f2, g2 = _step_columns(f, g, i, j, inserted, recorded)
-                stack.append((((i, j),) + pairs, f2, g2, c + 1))
+                f2, f2_shape, g2, _ = _step_columns(f, g, i, j, inserted)
+                stack.append((((i, j),) + pairs, f2, f2_shape, g2, c + 1))
 
 
 @dataclass(frozen=True)

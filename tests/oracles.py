@@ -15,7 +15,7 @@ from skyline import correspondences
 from skyline.correspondences import Biword, phi, rsk
 from skyline.crystal import CrystalGraph, crystal_graph, demazure_crystal
 from skyline.demazure import pi_op
-from skyline.fillings import SSAF, _basics_ok, psi, validate
+from skyline.fillings import SSAF, _basics_ok, empty_ssaf, insert_columns, psi, validate
 from skyline.kernel import KernelInstance, rhs_pairs
 from skyline.permutations import orbit_bruhat_leq
 from skyline.polynomials import SparsePoly, poly_sum
@@ -786,6 +786,28 @@ def criterion_sweep(n: int, max_len: int):
                 shapes[:n], reverse(shapes[n:])
             )
         yield pairs, all(i + j <= n + 1 for i, j in pairs), rhs
+
+
+def _place_by_top_test(cols, letter: int, h: int):
+    """Step 3 of the correspondence as Mason states it: record ``letter`` at
+    height ``h``.  Height 1 starts column ``letter``; otherwise the leftmost
+    column of height h-1 whose top is >= ``letter`` grows by one cell."""
+    c = letter - 1 if h == 1 else next(
+        (c for c, col in enumerate(cols) if len(col) == h - 1 and col[-1] >= letter), None
+    )
+    if c is None or len(cols[c]) != h - 1:
+        raise AssertionError("no admissible column for the recording placement")
+    return cols[:c] + (cols[c] + (letter,),) + cols[c + 1 :]
+
+
+def phi_by_top_test(w: Biword, n: int) -> tuple[SSAF, SSAF]:
+    """phi with G grown by Mason's rule, top test included, where the
+    package places each recorded letter by G's heights alone."""
+    f = g = empty_ssaf(n).columns
+    for i, j in reversed(w.pairs):
+        f, h, _, _ = insert_columns(j, f)
+        g = _place_by_top_test(g, i, h)
+    return SSAF(f), SSAF(g)
 
 
 def phi_steps(w: Biword, n: int) -> list[tuple[SSAF, SSAF]]:

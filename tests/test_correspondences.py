@@ -28,6 +28,7 @@ from skyline.shapes import reverse
 from oracles import (
     alphabet_support_check,
     criterion_sweep,
+    phi_by_top_test,
     phi_steps,
     rsk_commutes_check,
     square_walk,
@@ -263,20 +264,40 @@ def test_criterion_sweep_rejects_negative_arguments():
         list(criterion_sweep(2, -1))
 
 
-def _grow_column_0(cols, letter, h):
-    return (cols[0] + (letter,),) + cols[1:]
+def _column_0(heights, letter, h):
+    return 0
 
 
 def test_criterion_sweep_checks_shapes_on_every_child(monkeypatch):
-    monkeypatch.setattr(correspondences, "_place_in_recording", _grow_column_0)
+    monkeypatch.setattr(correspondences, "_recording_column", _column_0)
     with pytest.raises(AssertionError, match="shapes diverged"):
         list(criterion_sweep(3, 3))
 
 
 def test_phi_checks_shapes_through_the_same_step(monkeypatch):
-    monkeypatch.setattr(correspondences, "_place_in_recording", _grow_column_0)
+    monkeypatch.setattr(correspondences, "_recording_column", _column_0)
     with pytest.raises(AssertionError, match="shapes diverged"):
         phi(W1, 7)
+
+
+def test_recording_by_heights_matches_the_top_test():
+    # every biword with n <= 3 up to length 6 and n = 4 up to length 4:
+    # G's top letters arrive in non-increasing order, so Mason's top test
+    # never decides the column
+    for n, max_len in [(1, 6), (2, 6), (3, 6), (4, 4)]:
+        for pairs in biword_multisets(n, max_len):
+            w = Biword(pairs)
+            assert phi(w, n) == phi_by_top_test(w, n)
+
+
+@pytest.mark.parametrize(
+    "heights, letter, h",
+    [((0, 0, 0), 1, 3), ((2, 0, 1), 2, 4), ((1, 0, 0), 1, 1), ((0, 2), 2, 1)],
+)
+def test_recording_column_faults_are_assertions(heights, letter, h):
+    # a ValueError would read as bad input (exit 2) at the command line
+    with pytest.raises(AssertionError, match="no admissible column"):
+        correspondences._recording_column(heights, letter, h)
 
 
 def test_criterion_sweep_and_phi_share_one_step_routine(monkeypatch):
@@ -343,13 +364,13 @@ def test_phi_keeps_no_memo_tables(monkeypatch):
     calls = []
     step = correspondences._step_columns
 
-    def recording(f, g, i, j, inserted=None, recorded=None):
-        calls.append((inserted, recorded))
-        return step(f, g, i, j, inserted, recorded)
+    def recording(f, heights, i, j, inserted=None):
+        calls.append(inserted)
+        return step(f, heights, i, j, inserted)
 
     monkeypatch.setattr(correspondences, "_step_columns", recording)
     phi(W1, 7)
-    assert calls == [(None, None)] * len(W1)
+    assert calls == [None] * len(W1)
 
 
 # the count route against the full sweep: every n <= 4 up to length 4, and
