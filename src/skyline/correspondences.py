@@ -8,6 +8,7 @@ left) into one filling while recording the top row in a second one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 
 from .demazure import atom
@@ -139,27 +140,24 @@ def _recording_column(heights, letter: int, h: int) -> int:
 def _step_columns(f, heights, i: int, j: int, inserted=None):
     """One step of phi: insert j into F's raw columns and record i on G's heights.
 
-    Returns F, sh F, G's new heights and the column that records i.  F
-    depends only on the bottom letters and G's heights only on the top
-    letters and the heights insertion reached, so a caller that revisits
-    prefixes passes a table that memoises the insertion by (F, j) in
-    ``inserted``; without it nothing is kept.  Each entry keeps sh F, and
-    its sorted heights for the shape check.
+    Returns F, G's new heights and the column that records i.  A caller
+    that revisits F passes ``inserted``, a table that memoises the insertion
+    by (F, j) with F's sorted heights for the shape check; without it
+    nothing is kept.
     """
     step = None if inserted is None else inserted.get((f, j))
     if step is None:
         f2, h, _, _ = insert_columns(j, f)
-        shape = tuple(map(len, f2))
-        step = f2, h, shape, sorted(shape)
+        step = f2, h, sorted(map(len, f2))
         if inserted is not None:
             inserted[f, j] = step
-    f, h, shape, f_sorted = step
+    f, h, f_sorted = step
     c = _recording_column(heights, i, h)
     heights = heights[:c] + (h,) + heights[c + 1 :]
     # the two shapes stay rearrangements of each other at every stage
     if sorted(heights) != f_sorted:
         raise AssertionError("insertion and recording shapes diverged")
-    return f, shape, heights, c
+    return f, heights, c
 
 
 def phi(w: Biword, n: int) -> tuple[SSAF, SSAF]:
@@ -177,7 +175,7 @@ def phi(w: Biword, n: int) -> tuple[SSAF, SSAF]:
             raise ValueError(f"biletter ({i}, {j}) exceeds the alphabet [1, {n}]")
     f, heights, g = empty_ssaf(n).columns, (0,) * n, [[] for _ in range(n)]
     for i, j in reversed(w.pairs):
-        f, _, heights, c = _step_columns(f, heights, i, j)
+        f, heights, c = _step_columns(f, heights, i, j)
         g[c].append(i)
     return SSAF(f), SSAF(tuple(map(tuple, g)))
 
@@ -204,29 +202,34 @@ def main_theorem_predicate(w: Biword, n: int) -> tuple[bool, bool]:
     return lhs, rhs
 
 
-def _walk(n: int, max_len: int, cells):
-    """Every biword of length <= ``max_len`` with its biletters in ``cells``.
+def _tally(n: int, max_len: int, cells):
+    """``{sh G + sh F: number of biwords}`` over the biwords of length <=
+    ``max_len`` with biletters in ``cells``, none of them kept.
 
-    Yields ``(pairs, shapes)`` once per biword, in no fixed order, with
-    ``shapes`` the shape of G followed by the shape of F.  ``cells`` must be
-    in lexicographic order.  phi reads the last biletter first, so a
-    depth-first search that prepends biletters in non-increasing
-    lexicographic order gets each child's F and G's heights (G's entries
-    never decide a step) from its parent's by one :func:`_step_columns`,
-    whose memo table lives for one call.
+    phi reads the last biletter first, and F and G's heights fix its later
+    steps, so ``layers[d]`` maps each F of length d to a count per heights
+    of G.  The cells go from the largest down, each in one pass by length
+    so that it can repeat, and each state takes one :func:`_step_columns`.
     """
     if n < 0 or max_len < 0:
         raise ValueError(f"need n >= 0 and max_len >= 0, got {n} and {max_len}")
-    inserted, empty = {}, (0,) * n
-    # (pairs, columns of F, sh F, heights of G, number of cells still prependable)
-    stack = [((), empty_ssaf(n).columns, empty, empty, len(cells))]
-    while stack:
-        pairs, f, f_shape, g, allowed = stack.pop()
-        yield pairs, g + f_shape
-        if len(pairs) < max_len:
-            for c, (i, j) in enumerate(cells[:allowed]):
-                f2, f2_shape, g2, _ = _step_columns(f, g, i, j, inserted)
-                stack.append((((i, j),) + pairs, f2, f2_shape, g2, c + 1))
+    inserted, heights = {}, {}
+    layers = [{empty_ssaf(n).columns: {(0,) * n: 1}}] + [{} for _ in range(max_len)]
+    for i, j in reversed(cells):
+        for below, above in zip(layers, layers[1:]):
+            for f, counts in below.items():
+                for g, count in counts.items():
+                    f2, g2, _ = _step_columns(f, g, i, j, inserted)
+                    row = above.setdefault(f2, {})
+                    g2 = heights.setdefault(g2, g2)  # one tuple per distinct heights
+                    row[g2] = row.get(g2, 0) + count
+    tally = {}
+    for layer in layers:
+        for f, counts in layer.items():
+            f_shape = tuple(map(len, f))
+            for g, count in counts.items():
+                tally[g + f_shape] = tally.get(g + f_shape, 0) + count
+    return tally
 
 
 @dataclass(frozen=True)
@@ -280,33 +283,24 @@ def verify_criterion(n: int, max_len: int) -> CriterionReport:
     <= ``max_len``: its cells satisfy i + j <= n + 1 iff the recording shape
     is below the reversed insertion shape in the orbit Bruhat order.
 
-    Only the biwords inside the staircase are walked; each must satisfy the
-    Bruhat side.  The rest are counted.  phi is a bijection from the biwords
-    of length d onto the pairs (F, G) of SSAFs whose shapes are
-    rearrangements of each other (Mason 2008), and the SSAFs of shape gamma
-    number N(gamma), the coefficient sum of ``atom(gamma)`` (Mason 2009).
-    So no biword outside the staircase reaches a shape pair whose Bruhat
-    side holds iff every such pair is reached by N(sh F) * N(sh G) biwords
-    of the walk.  At each length the sum of N(sh F) * N(sh G) over all
+    :func:`_tally` counts the biwords inside the staircase per shape pair.
+    phi is a bijection from the biwords of length d onto the pairs (F, G)
+    of SSAFs whose shapes are rearrangements of each other (Mason 2008),
+    and the SSAFs of shape gamma number N(gamma), the coefficient sum of
+    ``atom(gamma)`` (Mason 2009).  So the criterion holds iff no pair whose
+    Bruhat side fails is reached and each other pair is reached N(sh F) *
+    N(sh G) times.  At each length the sum of N(sh F) * N(sh G) over all
     shape pairs must be the number of multisets of d cells of [n]^2 (the
-    Cauchy identity at x = y = 1), which guards N.
+    Cauchy identity at x = y = 1), which guards N.  Only a failing run
+    names its biwords, by :func:`main_theorem_predicate` on each.
 
     >>> print(verify_criterion(2, 2).summary())
     checked 15 biwords over [2]x[2], length <= 2
     all biwords satisfy the equivalence
     """
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n + 1]
-    bruhat = {}  # sh(G) + sh(F) -> Bruhat side; shape pairs repeat across many nodes
-    tally = {}
-    inside = []
-    for pairs, shapes in _walk(n, max_len, cells):
-        tally[shapes] = tally.get(shapes, 0) + 1
-        rhs = bruhat.get(shapes)
-        if rhs is None:
-            rhs = bruhat[shapes] = orbit_bruhat_leq(shapes[:n], reverse(shapes[n:]))
-        if not rhs:
-            inside.append(pairs)
-    checked, totals, outside = 0, [], []
+    tally = _tally(n, max_len, cells)
+    checked, totals, outside, failing = 0, [], [], False
     for d in range(max_len + 1):
         orbits = {}
         for gamma in compositions_with_sum(d, n):
@@ -318,10 +312,16 @@ def verify_criterion(n: int, max_len: int) -> CriterionReport:
             for beta in orbit:
                 for alpha in orbit:
                     expected, reached = counts[alpha] * counts[beta], tally.get(beta + alpha, 0)
-                    if reached != expected and orbit_bruhat_leq(beta, reverse(alpha)):
+                    if not orbit_bruhat_leq(beta, reverse(alpha)):
+                        failing = failing or reached > 0
+                    elif reached != expected:
                         outside.append((d, beta, alpha, expected, reached))
         multisets = comb(max(n * n + d - 1, 0), d)  # n = d = 0: the empty biword
         if total != multisets:
             totals.append((d, total, multisets))
         checked += multisets
+    inside = [
+        pairs for d in range(max_len + 1) for pairs in combinations_with_replacement(cells, d)
+        if not main_theorem_predicate(Biword(pairs), n)[1]
+    ] if failing else []
     return CriterionReport(n, max_len, checked, sorted(inside), totals, sorted(outside))

@@ -763,10 +763,29 @@ def key_columns_leq(alpha1, alpha2) -> bool:
 
 
 def square_walk(n: int, max_len: int):
-    """The package's depth-first walk over all n^2 cells of [n] x [n]:
-    ``(pairs, sh G + sh F)`` once per biword of length <= ``max_len``."""
+    """Every biword over [n] x [n] of length <= ``max_len``, depth first.
+
+    Yields ``(pairs, shapes)`` once per biword, in no fixed order, with
+    ``shapes`` the shape of G followed by the shape of F.  phi reads the
+    last biletter first, so a search that prepends biletters in
+    non-increasing lexicographic order gets each child's F and G's heights
+    from its parent's by one ``correspondences._step_columns``, whose memo
+    table lives for one call: the biword-by-biword reference for the
+    package's count over (F, heights of G) states.
+    """
+    if n < 0 or max_len < 0:
+        raise ValueError(f"need n >= 0 and max_len >= 0, got {n} and {max_len}")
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    return correspondences._walk(n, max_len, cells)
+    inserted, empty = {}, (0,) * n
+    # (pairs, columns of F, heights of G, number of cells still prependable)
+    stack = [((), empty_ssaf(n).columns, empty, len(cells))]
+    while stack:
+        pairs, f, g, allowed = stack.pop()
+        yield pairs, g + tuple(map(len, f))
+        if len(pairs) < max_len:
+            for c, (i, j) in enumerate(cells[:allowed]):
+                f2, g2, _ = correspondences._step_columns(f, g, i, j, inserted)
+                stack.append((((i, j),) + pairs, f2, g2, c + 1))
 
 
 def criterion_sweep(n: int, max_len: int):
@@ -774,9 +793,10 @@ def criterion_sweep(n: int, max_len: int):
 
     Yields ``(pairs, lhs, rhs)`` as ``main_theorem_predicate`` gives them
     for ``Biword(pairs)``, once per biword of length <= ``max_len``, in no
-    fixed order: the full sweep that ``verify_criterion`` replaces by a walk
-    inside the staircase and a count.  Each distinct shape pair costs one
-    Bruhat test, made through ``correspondences`` so that a patch reaches it.
+    fixed order: the full sweep that ``verify_criterion`` replaces by a
+    count of the staircase's biwords per state.  Each distinct shape pair
+    costs one Bruhat test, made through ``correspondences`` so that a patch
+    reaches it.
     """
     bruhat = {}
     for pairs, shapes in square_walk(n, max_len):

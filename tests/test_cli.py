@@ -217,11 +217,11 @@ def test_verify_main_names_a_pair_whose_bruhat_side_is_broken(monkeypatch):
 
 def test_verify_main_names_the_pairs_a_dropped_cell_reaches(monkeypatch):
     dropped = (1, 2)
-    by_pair = _inside_by_pair()  # before the patch, which the oracle's walk shares
-    walk = correspondences._walk
+    by_pair = _inside_by_pair()
+    tally = correspondences._tally
     monkeypatch.setattr(
-        correspondences, "_walk",
-        lambda n, max_len, cells: walk(n, max_len, [c for c in cells if c != dropped]),
+        correspondences, "_tally",
+        lambda n, max_len, cells: tally(n, max_len, [c for c in cells if c != dropped]),
     )
     expected = _outside_lines(
         (shapes, missing, len(biwords))

@@ -373,6 +373,82 @@ def test_phi_keeps_no_memo_tables(monkeypatch):
     assert calls == [None] * len(W1)
 
 
+def _cells(n, staircase):
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+            if not staircase or i + j <= n + 1]
+
+
+@pytest.mark.parametrize(
+    "n, max_len, staircase",
+    [(n, 4, staircase) for n in range(5) for staircase in (True, False)] + [(5, 5, True)],
+)
+def test_tally_matches_the_depth_first_walk(n, max_len, staircase):
+    walked = Counter(
+        shapes for pairs, shapes in square_walk(n, max_len)
+        if not staircase or all(i + j <= n + 1 for i, j in pairs)
+    )
+    assert correspondences._tally(n, max_len, _cells(n, staircase)) == walked
+
+
+def test_tally_memo_table_lives_for_one_call(monkeypatch):
+    calls = _count_insertions(monkeypatch)
+    counts = []
+    for _ in range(2):
+        del calls[:]
+        correspondences._tally(3, 4, _cells(3, False))
+        counts.append(len(calls))
+    # a table outliving the first call would make the second one cheaper
+    assert counts[0] > 0 and counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("n, max_len", [(4, 4), (6, 3), (2, 8)])
+def test_tally_inserts_once_per_bottom_prefix_and_letter(monkeypatch, n, max_len):
+    calls = _count_insertions(monkeypatch)
+    correspondences._tally(n, max_len, _cells(n, False))
+    assert len(calls) <= n * sum(n**l for l in range(max_len))
+
+
+@pytest.mark.parametrize("n, max_len", [(-1, 2), (2, -1)])
+def test_verify_criterion_rejects_negative_arguments(n, max_len):
+    with pytest.raises(ValueError):
+        verify_criterion(n, max_len)
+
+
+def test_verify_criterion_checks_shapes_on_every_state(monkeypatch):
+    monkeypatch.setattr(correspondences, "_recording_column", _column_0)
+    with pytest.raises(AssertionError, match="shapes diverged"):
+        verify_criterion(3, 3)
+
+
+def _count_predicates(monkeypatch):
+    calls = []
+    predicate = correspondences.main_theorem_predicate
+
+    def counting(w, n):
+        calls.append(w)
+        return predicate(w, n)
+
+    monkeypatch.setattr(correspondences, "main_theorem_predicate", counting)
+    return calls
+
+
+def test_passing_criterion_names_no_biword(monkeypatch):
+    calls = _count_predicates(monkeypatch)
+    assert verify_criterion(4, 4).holds
+    assert calls == []
+
+
+def test_failing_criterion_runs_the_predicate_once_per_staircase_biword(monkeypatch):
+    calls = _count_predicates(monkeypatch)
+    monkeypatch.setattr(correspondences, "orbit_bruhat_leq", lambda a1, a2: False)
+    report = verify_criterion(3, 3)
+    staircase = sorted(
+        pairs for pairs in biword_multisets(3, 3) if all(i + j <= 4 for i, j in pairs)
+    )
+    assert sorted(w.pairs for w in calls) == staircase
+    assert report.inside == staircase
+
+
 # the count route against the full sweep: every n <= 4 up to length 4, and
 # n = 5 up to length 5
 SWEPT = [(n, 4) for n in range(5)] + [(5, 5)]
