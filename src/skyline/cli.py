@@ -10,7 +10,7 @@ import functools
 import json
 import sys
 
-from . import correspondences, crystal, demazure, fillings, kernel, tableaux
+from . import correspondences, crystal, demazure, fillings, kernel, polynomials, tableaux
 from .shapes import composition
 
 
@@ -53,94 +53,56 @@ def _print(out, text: str):
         out.write("\n")
 
 
-def _cmd_key(args, out) -> int:
-    tab = tableaux.key_tableau(args.gamma)
+def _read_ssaf(text: str):
+    return fillings.ssaf_from_json(json.loads(text))
+
+
+def _cmd_show(args, out) -> int:
+    """Print a verb's one result: its JSON payload, or else its text, which
+    ``as_text`` returns as one chunk or a tuple of chunks, printed one by one."""
+    value = args.compute(args)
     if args.json:
-        _print(out, json.dumps(tableaux.ssyt_to_json(tab), sort_keys=True))
-    else:
-        _print(out, tab.pretty())
+        _print(out, json.dumps(args.as_json(value), sort_keys=True))
+        return 0
+    text = args.as_text(value)
+    for chunk in (text,) if isinstance(text, str) else text:
+        _print(out, chunk)
     return 0
 
 
-def _cmd_polynomial(args, out) -> int:
-    poly = args.polynomial(args.alpha)
-    _print(out, json.dumps(poly.to_json()) if args.json else str(poly))
-    return 0
+def _insert_json(result):
+    filling, height, column = result
+    return {"ssaf": fillings.ssaf_to_json(filling), "height": height, "column": column}
 
 
-def _cmd_insert(args, out) -> int:
-    filling = fillings.ssaf_from_json(json.loads(args.ssaf))
-    new, h, col = fillings.insert(args.k, filling)
-    if args.json:
-        payload = {"ssaf": fillings.ssaf_to_json(new), "height": h, "column": col}
-        _print(out, json.dumps(payload, sort_keys=True))
-    else:
-        _print(out, new.pretty())
-        _print(out, f"terminated at column {col}, height {h}")
-    return 0
+def _insert_text(result):
+    filling, height, column = result
+    return filling.pretty(), f"terminated at column {column}, height {height}"
 
 
-def _cmd_psi(args, out) -> int:
-    tab = tableaux.ssyt_from_json(json.loads(args.tableau), n=args.n)
-    filling = fillings.psi(tab)
-    if args.json:
-        _print(out, json.dumps(fillings.ssaf_to_json(filling), sort_keys=True))
-    else:
-        _print(out, filling.pretty())
-        _print(out, f"shape: {filling.shape}")
-    return 0
+def _psi_text(filling):
+    return filling.pretty(), f"shape: {filling.shape}"
 
 
-def _cmd_psi_inv(args, out) -> int:
-    filling = fillings.ssaf_from_json(json.loads(args.ssaf))
-    tab = fillings.psi_inverse(filling)
-    if args.json:
-        _print(out, json.dumps(tableaux.ssyt_to_json(tab), sort_keys=True))
-    else:
-        _print(out, tab.pretty())
-    return 0
+def _rsk_json(pair):
+    p, q = pair
+    return {"p": tableaux.ssyt_to_json(p), "q": tableaux.ssyt_to_json(q)}
 
 
-def _cmd_rsk(args, out) -> int:
-    w = _read_biword(args.biword)
-    p, q = correspondences.rsk(w, args.n)
-    if args.json:
-        payload = {"p": tableaux.ssyt_to_json(p), "q": tableaux.ssyt_to_json(q)}
-        _print(out, json.dumps(payload, sort_keys=True))
-    else:
-        _print(out, "P:\n" + p.pretty())
-        _print(out, "Q:\n" + q.pretty())
-    return 0
+def _rsk_text(pair):
+    p, q = pair
+    return "P:\n" + p.pretty(), "Q:\n" + q.pretty()
 
 
-def _cmd_phi(args, out) -> int:
-    w = _read_biword(args.biword)
-    f, g = correspondences.phi(w, args.n)
-    if args.json:
-        payload = {
-            "f": fillings.ssaf_to_json(f),
-            "g": fillings.ssaf_to_json(g),
-            "shape_f": list(f.shape),
-            "shape_g": list(g.shape),
-        }
-        _print(out, json.dumps(payload, sort_keys=True))
-    else:
-        _print(out, "F:\n" + f.pretty())
-        _print(out, "G:\n" + g.pretty())
-        _print(out, f"sh(F) = {f.shape}")
-        _print(out, f"sh(G) = {g.shape}")
-    return 0
+def _phi_json(pair):
+    f, g = pair
+    return {"f": fillings.ssaf_to_json(f), "g": fillings.ssaf_to_json(g),
+            "shape_f": list(f.shape), "shape_g": list(g.shape)}
 
 
-def _cmd_phi_inv(args, out) -> int:
-    f = fillings.ssaf_from_json(json.loads(args.f))
-    g = fillings.ssaf_from_json(json.loads(args.g))
-    w = correspondences.phi_inverse(f, g)
-    if args.json:
-        _print(out, json.dumps(correspondences.biword_to_json(w)))
-    else:
-        _print(out, correspondences.format_biword(w))
-    return 0
+def _phi_text(pair):
+    f, g = pair
+    return "F:\n" + f.pretty(), "G:\n" + g.pretty(), f"sh(F) = {f.shape}", f"sh(G) = {g.shape}"
 
 
 def _cmd_crystal(args, out) -> int:
@@ -149,8 +111,7 @@ def _cmd_crystal(args, out) -> int:
         graph = crystal.demazure_graph(args.alpha, n)
     else:
         if args.shape is None or args.n is None:
-            print("error: crystal needs --alpha or both --shape and --n", file=sys.stderr)
-            return 2
+            raise ValueError("crystal needs --alpha or both --shape and --n")
         graph = crystal.crystal_graph(args.shape, args.n)
     _print(out, crystal.export_graph(graph, args.format))
     return 0
@@ -195,47 +156,58 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("key", _cmd_key, help="key tableau of a composition")
-    p.add_argument("--gamma", type=_parse_composition, required=True)
-    p.add_argument("--json", action="store_true")
-
-    for name, polynomial, text in (
-        ("keypoly", demazure.key_polynomial, "key polynomial (Demazure character)"),
-        ("atom", demazure.atom, "Demazure atom"),
-    ):
-        p = add(name, _cmd_polynomial, help=text)
-        p.set_defaults(polynomial=polynomial)
-        p.add_argument("--alpha", type=_parse_composition, required=True)
+    def show(p, compute, as_json, as_text):
+        """Hand a verb to ``_cmd_show``; ``--json`` goes last in its usage line."""
+        p.set_defaults(compute=compute, as_json=as_json, as_text=as_text)
         p.add_argument("--json", action="store_true")
 
-    p = add("insert", _cmd_insert, help="insert a letter into an SSAF")
+    p = add("key", _cmd_show, help="key tableau of a composition")
+    p.add_argument("--gamma", type=_parse_composition, required=True)
+    show(p, lambda args: tableaux.key_tableau(args.gamma), tableaux.ssyt_to_json,
+         tableaux.SSYT.pretty)
+
+    p = add("keypoly", _cmd_show, help="key polynomial (Demazure character)")
+    p.add_argument("--alpha", type=_parse_composition, required=True)
+    show(p, lambda args: demazure.key_polynomial(args.alpha), polynomials.SparsePoly.to_json, str)
+
+    p = add("atom", _cmd_show, help="Demazure atom")
+    p.add_argument("--alpha", type=_parse_composition, required=True)
+    show(p, lambda args: demazure.atom(args.alpha), polynomials.SparsePoly.to_json, str)
+
+    p = add("insert", _cmd_show, help="insert a letter into an SSAF")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--ssaf", required=True, help="SSAF as JSON")
-    p.add_argument("--json", action="store_true")
+    show(p, lambda args: fillings.insert(args.k, _read_ssaf(args.ssaf)), _insert_json,
+         _insert_text)
 
-    p = add("psi", _cmd_psi, help="tableau to skyline filling")
+    p = add("psi", _cmd_show, help="tableau to skyline filling")
     p.add_argument("--tableau", required=True, help="SSYT as JSON")
     p.add_argument("--n", type=_non_negative, default=None)
-    p.add_argument("--json", action="store_true")
+    show(p, lambda args: fillings.psi(tableaux.ssyt_from_json(json.loads(args.tableau), n=args.n)),
+         fillings.ssaf_to_json, _psi_text)
 
-    p = add("psi-inv", _cmd_psi_inv, help="skyline filling to tableau")
+    p = add("psi-inv", _cmd_show, help="skyline filling to tableau")
     p.add_argument("--ssaf", required=True, help="SSAF as JSON")
-    p.add_argument("--json", action="store_true")
+    show(p, lambda args: fillings.psi_inverse(_read_ssaf(args.ssaf)), tableaux.ssyt_to_json,
+         tableaux.SSYT.pretty)
 
-    p = add("rsk", _cmd_rsk, help="classical RSK on a biword")
+    p = add("rsk", _cmd_show, help="classical RSK on a biword")
     p.add_argument("--biword", required=True, help='"i1 i2 ... / j1 j2 ..."')
     p.add_argument("--n", type=_non_negative, default=None)
-    p.add_argument("--json", action="store_true")
+    show(p, lambda args: correspondences.rsk(_read_biword(args.biword), args.n), _rsk_json,
+         _rsk_text)
 
-    p = add("phi", _cmd_phi, help="skyline analogue of RSK")
+    p = add("phi", _cmd_show, help="skyline analogue of RSK")
     p.add_argument("--biword", required=True, help='"i1 i2 ... / j1 j2 ..."')
     p.add_argument("--n", type=_non_negative, required=True)
-    p.add_argument("--json", action="store_true")
+    show(p, lambda args: correspondences.phi(_read_biword(args.biword), args.n), _phi_json,
+         _phi_text)
 
-    p = add("phi-inv", _cmd_phi_inv, help="invert the skyline correspondence")
+    p = add("phi-inv", _cmd_show, help="invert the skyline correspondence")
     p.add_argument("--f", required=True, help="insertion SSAF as JSON")
     p.add_argument("--g", required=True, help="recording SSAF as JSON")
-    p.add_argument("--json", action="store_true")
+    show(p, lambda args: correspondences.phi_inverse(_read_ssaf(args.f), _read_ssaf(args.g)),
+         correspondences.biword_to_json, correspondences.format_biword)
 
     p = add("crystal", _cmd_crystal, help="crystal graph or Demazure crystal")
     which = p.add_mutually_exclusive_group()

@@ -345,7 +345,7 @@ def test_verify_kernel_failure_exit(monkeypatch):
     assert "MISMATCH" in text
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     code, _ = run_cli(["keypoly"])
     assert code == 2
     code, _ = run_cli(["no-such-verb"])
@@ -354,8 +354,9 @@ def test_usage_errors_exit_2():
     assert code == 2
     code, _ = run_cli(["phi", "--biword", "1 2 / 1", "--n", "3"])
     assert code == 2
-    code, _ = run_cli(["crystal", "--format", "dot"])
-    assert code == 2
+    capsys.readouterr()
+    assert run_cli(["crystal", "--format", "dot"]) == (2, "")
+    assert capsys.readouterr().err == "error: crystal needs --alpha or both --shape and --n\n"
 
 
 @pytest.mark.parametrize(
@@ -408,6 +409,98 @@ def test_reused_parser_leaks_no_state_between_crystal_calls():
         fresh[tuple(argv)] = run_cli(argv)
     for argv in (by_alpha, by_shape, by_alpha, by_shape, by_alpha):
         assert run_cli(argv) == fresh[tuple(argv)]
+
+
+INSERT_SSAF = '{"n":6,"columns":[[],[],[3,2,1],[4,1],[],[6]]}'
+PSI_TABLEAU = '{"rows":[[1,1],[2]],"n":3}'
+PSI_SSAF = '{"n":3,"columns":[[1,1],[2],[]]}'
+EXAMPLE_BIWORD = "4 6 6 7 / 4 1 2 1"
+PHI_INV_PAIR = ["--f", '{"n":2,"columns":[[1],[]]}', "--g", '{"n":2,"columns":[[],[2]]}']
+EMPTY_SSAF = '{"n":0,"columns":[]}'
+KEYPOLY_TERMS = [(1, 0, 3), (1, 1, 2), (1, 2, 1), (1, 3, 0), (2, 0, 2), (2, 1, 1),
+                 (2, 2, 0), (3, 0, 1), (3, 1, 0)]
+ATOM_TERMS = KEYPOLY_TERMS[:3] + KEYPOLY_TERMS[4:6]
+
+
+def poly_text(terms):
+    return " + ".join("x^(%d,%d,%d)" % t for t in terms) + "\n"
+
+
+def poly_json(terms):
+    return json.dumps([{"coeff": 1, "x_exp": list(t)} for t in terms]) + "\n"
+
+
+# Every single-result verb in both forms, then the empty results, whose text
+# layout depends on each chunk ending in its own newline. Neighbours differ in
+# verb and in form, so a default one verb set could not hide in the next.
+SINGLE_RESULT_GOLDEN = [
+    (["key", "--gamma", "1,3,0,0,1"], "5\n2\n1 2 2\n"),
+    (["keypoly", "--alpha", "1,0,3", "--json"], poly_json(KEYPOLY_TERMS)),
+    (["atom", "--alpha", "1,0,3"], poly_text(ATOM_TERMS)),
+    (
+        ["insert", "--k", "3", "--ssaf", INSERT_SSAF, "--json"],
+        '{"column": 6, "height": 2, "ssaf": '
+        '{"columns": [[], [], [3, 3, 1], [4, 2], [], [6, 1]], "n": 6}}\n',
+    ),
+    (["psi", "--tableau", PSI_TABLEAU], "1 . .\n1 2 .\n1 2 3\nshape: (2, 1, 0)\n"),
+    (
+        ["psi-inv", "--ssaf", PSI_SSAF, "--json"],
+        '{"n": 3, "rows": [[1, 1], [2]], "shape": [2, 1]}\n',
+    ),
+    (["rsk", "--biword", EXAMPLE_BIWORD], "P:\n4\n2\n1 1\nQ:\n7\n6\n4 6\n"),
+    (
+        ["phi", "--biword", EXAMPLE_BIWORD, "--n", "7", "--json"],
+        '{"f": {"columns": [[1, 1], [2], [], [4], [], [], []], "n": 7}, '
+        '"g": {"columns": [[], [], [], [4], [], [6, 6], [7]], "n": 7}, '
+        '"shape_f": [2, 1, 0, 1, 0, 0, 0], "shape_g": [0, 0, 0, 1, 0, 2, 1]}\n',
+    ),
+    (["phi-inv"] + PHI_INV_PAIR, "2 / 1\n"),
+    (
+        ["key", "--gamma", "1,3,0,0,1", "--json"],
+        '{"n": 5, "rows": [[1, 2, 2], [2], [5]], "shape": [3, 1, 1]}\n',
+    ),
+    (["keypoly", "--alpha", "1,0,3"], poly_text(KEYPOLY_TERMS)),
+    (["atom", "--alpha", "1,0,3", "--json"], poly_json(ATOM_TERMS)),
+    (
+        ["insert", "--k", "3", "--ssaf", INSERT_SSAF],
+        ". . 1 . . .\n. . 3 2 . 1\n. . 3 4 . 6\n1 2 3 4 5 6\n"
+        "terminated at column 6, height 2\n",
+    ),
+    (["psi", "--tableau", PSI_TABLEAU, "--json"], '{"columns": [[1, 1], [2], []], "n": 3}\n'),
+    (["psi-inv", "--ssaf", PSI_SSAF], "2\n1 1\n"),
+    (
+        ["rsk", "--biword", EXAMPLE_BIWORD, "--json"],
+        '{"p": {"n": 7, "rows": [[1, 1], [2], [4]], "shape": [2, 1, 1]}, '
+        '"q": {"n": 7, "rows": [[4, 6], [6], [7]], "shape": [2, 1, 1]}}\n',
+    ),
+    (
+        ["phi", "--biword", EXAMPLE_BIWORD, "--n", "7"],
+        "F:\n1 . . . . . .\n1 2 . 4 . . .\n1 2 3 4 5 6 7\n"
+        "G:\n. . . . . 6 .\n. . . 4 . 6 7\n1 2 3 4 5 6 7\n"
+        "sh(F) = (2, 1, 0, 1, 0, 0, 0)\nsh(G) = (0, 0, 0, 1, 0, 2, 1)\n",
+    ),
+    (["phi-inv"] + PHI_INV_PAIR + ["--json"], "[[2, 1]]\n"),
+    (["phi", "--biword", "/", "--n", "0"], "F:\nG:\nsh(F) = ()\nsh(G) = ()\n"),
+    (["rsk", "--biword", "/", "--json"], '{"p": {"n": 0, "rows": [], "shape": []}, '
+     '"q": {"n": 0, "rows": [], "shape": []}}\n'),
+    (["psi-inv", "--ssaf", EMPTY_SSAF], "(empty tableau)\n"),
+    (["phi-inv", "--f", EMPTY_SSAF, "--g", EMPTY_SSAF, "--json"], "[]\n"),
+    (
+        ["phi", "--biword", "/", "--n", "0", "--json"],
+        '{"f": {"columns": [], "n": 0}, "g": {"columns": [], "n": 0}, '
+        '"shape_f": [], "shape_g": []}\n',
+    ),
+    (["rsk", "--biword", "/"], "P:\n(empty tableau)\nQ:\n(empty tableau)\n"),
+    (["psi-inv", "--ssaf", EMPTY_SSAF, "--json"], '{"n": 0, "rows": [], "shape": []}\n'),
+    (["phi-inv", "--f", EMPTY_SSAF, "--g", EMPTY_SSAF], " / \n"),
+]
+
+
+def test_single_result_verbs_print_golden_bytes(capsys):
+    # twice through the one cached parser
+    for argv, stdout in SINGLE_RESULT_GOLDEN * 2:
+        assert run_cli(argv) == (0, stdout), argv
+        assert capsys.readouterr().err == "", argv
 
 
 @pytest.mark.parametrize(
